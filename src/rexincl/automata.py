@@ -78,29 +78,37 @@ def _closure(states, eps):
 
 @dataclass(frozen=True)
 class Dfa:
-    n_states: int
+    """DFA over a partition alphabet, as an integer table: `table[q][i]` is
+    the successor of state q on block `alphabet[i]`, or -1 where the
+    transition is undefined.  A complete DFA has no -1 entries."""
+
     start: int
     accepting: frozenset
-    transitions: dict  # (state, block) -> state; block is a frozenset of chars
+    table: tuple  # one row (a tuple of ints) per state
     alphabet: tuple  # disjoint blocks, sorted by lowest code point
     complete: bool = False
     sink: int | None = None
 
-    def step(self, state, block):
-        return self.transitions.get((state, block))
+    @property
+    def n_states(self) -> int:
+        return len(self.table)
+
+    @property
+    def transitions(self) -> dict:
+        """(state, block) -> state for every defined entry; for display."""
+        return {(q, block): dst
+                for q, row in enumerate(self.table)
+                for block, dst in zip(self.alphabet, row) if dst >= 0}
 
     def accepts(self, s: str) -> bool:
-        lookup = {}
-        for block in self.alphabet:
-            for c in block:
-                lookup[c] = block
+        column = {c: i for i, block in enumerate(self.alphabet) for c in block}
         state = self.start
         for c in s:
-            block = lookup.get(c)
-            if block is None:
+            i = column.get(c)
+            if i is None:
                 return False
-            state = self.transitions.get((state, block))
-            if state is None:
+            state = self.table[state][i]
+            if state < 0:
                 return False
         return state in self.accepting
 
@@ -227,77 +235,73 @@ def powerset(nfa: Nfa, alphabet: tuple | None = None) -> Dfa:
     """
     if alphabet is None:
         alphabet = partition_classes(nfa.classes)
-    eps = {i: set() for i in range(nfa.n_states)}
-    step = {i: [] for i in range(nfa.n_states)}
+    eps = [[] for _ in range(nfa.n_states)]
+    step = [[] for _ in range(nfa.n_states)]  # (block index, dst)
+    columns = {}  # label -> indices of the blocks it is the union of
     for src, label, dst in nfa.transitions:
         if label is EPS_LABEL:
-            eps[src].add(dst)
-        else:
-            for block in alphabet:
+            eps[src].append(dst)
+            continue
+        if label not in columns:
+            cols = []
+            for i, block in enumerate(alphabet):
                 if block <= label:
-                    step[src].append((block, dst))
-                elif block & label:
+                    cols.append(i)
+                elif not block.isdisjoint(label):
                     raise AlphabetMismatch("alphabet does not refine NFA classes")
+            columns[label] = cols
+        step[src].extend((i, dst) for i in columns[label])
 
     start_set = frozenset(_closure({nfa.start}, eps))
     ids = {start_set: 0}
     order = [start_set]
-    transitions = {}
-    i = 0
-    while i < len(order):
-        current = order[i]
-        i += 1
+    table = []
+    for current in order:  # grows while it is walked
         by_block: dict = {}
         for q in current:
-            for block, dst in step[q]:
-                by_block.setdefault(block, set()).add(dst)
-        for block in alphabet:
-            if block not in by_block:
-                continue
-            nxt = frozenset(_closure(by_block[block], eps))
+            for i, dst in step[q]:
+                by_block.setdefault(i, set()).add(dst)
+        row = [-1] * len(alphabet)
+        closures = {}  # blocks of one row often share their targets
+        for i in sorted(by_block):
+            targets = frozenset(by_block[i])
+            if targets not in closures:
+                closures[targets] = frozenset(_closure(targets, eps))
+            nxt = closures[targets]
             if nxt not in ids:
                 ids[nxt] = len(order)
                 order.append(nxt)
-            transitions[(ids[current], block)] = ids[nxt]
-    accepting = frozenset(ids[s] for s in order if nfa.accept in s)
-    complete = all((q, b) in transitions for q in range(len(order)) for b in alphabet)
+            row[i] = ids[nxt]
+        table.append(tuple(row))
     return Dfa(
-        n_states=len(order),
         start=0,
-        accepting=accepting,
-        transitions=transitions,
+        accepting=frozenset(i for i, s in enumerate(order) if nfa.accept in s),
+        table=tuple(table),
         alphabet=alphabet,
-        complete=complete,
-        sink=None,
+        complete=all(-1 not in row for row in table),
     )
 
 
 def complete(dfa: Dfa, sigma: tuple) -> Dfa:
     """Make the transition function total over `sigma` via a non-accepting
-    sink.  Idempotent when the DFA is already complete over sigma."""
+    sink row.  Idempotent when the DFA is already complete over sigma."""
     sigma = tuple(sorted(set(sigma), key=lambda b: min(b)))
-    if not set(dfa.alphabet) <= set(sigma):
-        raise AlphabetMismatch("completion alphabet misses symbols used by the DFA")
-    missing = [(q, b) for q in range(dfa.n_states) for b in sigma
-               if (q, b) not in dfa.transitions]
-    if not missing and dfa.alphabet == sigma:
-        return replace(dfa, complete=True)
-    transitions = dict(dfa.transitions)
-    sink = dfa.n_states
-    for q, b in missing:
-        transitions[(q, b)] = sink
-    n = dfa.n_states
-    if missing:
-        n += 1
-        for b in sigma:
-            transitions[(sink, b)] = sink
+    if dfa.alphabet == sigma:
+        table = dfa.table
     else:
-        sink = dfa.sink
+        column = {block: i for i, block in enumerate(dfa.alphabet)}
+        if not column.keys() <= set(sigma):
+            raise AlphabetMismatch("completion alphabet misses symbols used by the DFA")
+        picks = [column.get(block) for block in sigma]
+        table = tuple(tuple(-1 if i is None else row[i] for i in picks) for row in dfa.table)
+    if all(-1 not in row for row in table):
+        return replace(dfa, table=table, alphabet=sigma, complete=True)
+    sink = len(table)
+    table = tuple(tuple(sink if dst < 0 else dst for dst in row) for row in table)
     return Dfa(
-        n_states=n,
         start=dfa.start,
         accepting=dfa.accepting,
-        transitions=transitions,
+        table=table + ((sink,) * len(sigma),),
         alphabet=sigma,
         complete=True,
         sink=sink,
@@ -305,7 +309,8 @@ def complete(dfa: Dfa, sigma: tuple) -> Dfa:
 
 
 def complement(dfa: Dfa) -> Dfa:
-    """Swap accepting and non-accepting states of a complete DFA."""
+    """Swap accepting and non-accepting states of a complete DFA.  The
+    complement shares the DFA's table."""
     if not dfa.complete:
         raise IncompleteAutomaton("complement requires a complete DFA")
     accepting = frozenset(range(dfa.n_states)) - dfa.accepting
@@ -317,48 +322,48 @@ def complement(dfa: Dfa) -> Dfa:
 # ---------------------------------------------------------------------------
 
 def _require_comparable(a: Dfa, b: Dfa):
-    if set(a.alphabet) != set(b.alphabet):
+    if a.alphabet != b.alphabet:
         raise AlphabetMismatch("DFAs are not over the same partition alphabet")
     if not (a.complete and b.complete):
         raise IncompleteAutomaton("inclusion requires complete DFAs")
 
 
-def _witness_from(pred, pair):
+def _witness_from(pred, pair, alphabet):
     labels = []
     while pred[pair] is not None:
-        pair, block = pred[pair]
-        labels.append(min(block))
+        pair, i = pred[pair]
+        labels.append(min(alphabet[i]))
     return "".join(reversed(labels))
 
 
 def inclusion(superset_complement: Dfa, candidate: Dfa) -> InclusionVerdict:
-    """Optimized product traversal: depth-first over pairs (p, q), failing as
-    soon as a reachable pair is accepting in both automata.
+    """Optimized product traversal: breadth-first over pairs of table rows
+    (p, q), failing as soon as a pair is accepting in both automata.
 
     `superset_complement` must already be the complement of the superset DFA.
     A doubly-accepting pair means the candidate accepts a string the superset
-    rejects; the traversal path to it is replayed into a witness, one
-    representative character (lowest code point) per block.
+    rejects.  Pairs are discovered in the same order as in
+    `inclusion_unoptimized`, so the path to the first one found replays into
+    the same shortest witness: one representative character (lowest code
+    point) per block.
     """
     _require_comparable(superset_complement, candidate)
-    alphabet = superset_complement.alphabet
+    sup_rows, sup_acc = superset_complement.table, superset_complement.accepting
+    cand_rows, cand_acc = candidate.table, candidate.accepting
     start = (superset_complement.start, candidate.start)
-    stack = [start]
     pred = {start: None}
-    marked = set()
-    while stack:
-        p, q = stack.pop()
-        if (p, q) in marked:
-            continue
-        marked.add((p, q))
-        if p in superset_complement.accepting and q in candidate.accepting:
-            return InclusionVerdict(included=False, witness=_witness_from(pred, (p, q)))
-        for block in alphabet:
-            nxt = (superset_complement.step(p, block), candidate.step(q, block))
-            if nxt not in marked:
-                if nxt not in pred:
-                    pred[nxt] = ((p, q), block)
-                stack.append(nxt)
+    if start[0] in sup_acc and start[1] in cand_acc:
+        return InclusionVerdict(included=False, witness="")
+    queue = [start]
+    for pair in queue:  # grows while it is walked
+        p, q = pair
+        for i, nxt in enumerate(zip(sup_rows[p], cand_rows[q])):
+            if nxt not in pred:
+                pred[nxt] = (pair, i)
+                if nxt[0] in sup_acc and nxt[1] in cand_acc:
+                    witness = _witness_from(pred, nxt, candidate.alphabet)
+                    return InclusionVerdict(included=False, witness=witness)
+                queue.append(nxt)
     return InclusionVerdict(included=True)
 
 
@@ -371,9 +376,9 @@ def inclusion_unoptimized(a1: Dfa, a2: Dfa) -> InclusionVerdict:
     alphabet = comp.alphabet
     product_states = [(p, q) for p in range(comp.n_states) for q in range(a2.n_states)]
     product_trans = {
-        ((p, q), block): (comp.step(p, block), a2.step(q, block))
+        ((p, q), i): (comp.table[p][i], a2.table[q][i])
         for p, q in product_states
-        for block in alphabet
+        for i in range(len(alphabet))
     }
     goal = {(p, q) for p, q in product_states
             if p in comp.accepting and q in a2.accepting}
@@ -385,8 +390,8 @@ def inclusion_unoptimized(a1: Dfa, a2: Dfa) -> InclusionVerdict:
         pair = queue[i]
         i += 1
         if pair in goal:
-            return InclusionVerdict(included=False, witness=_witness_from(pred, pair))
-        for block in alphabet:
+            return InclusionVerdict(included=False, witness=_witness_from(pred, pair, alphabet))
+        for block in range(len(alphabet)):
             nxt = product_trans[(pair, block)]
             if nxt not in pred:
                 pred[nxt] = (pair, block)
@@ -407,7 +412,8 @@ def alphabet_subset(candidate: Nfa, superset: Nfa) -> bool:
 @dataclass(frozen=True)
 class CompiledPattern:
     """A pattern carried through parse → postfix → NFA once; DFAs are built
-    per comparison because they depend on the pair's partition alphabet."""
+    over a partition alphabet chosen by the caller: the pair's for a single
+    check, the polarity group's for a reduction."""
 
     pattern: str
     expr: NormalizedExpr
@@ -431,52 +437,13 @@ def compile_postfix(prog: PostfixProgram) -> CompiledPattern:
     return CompiledPattern(pattern=str(prog), expr=expr, postfix=prog, nfa=thompson(prog))
 
 
-def _foreign_witness(candidate: Nfa, allowed: frozenset) -> str:
-    """Shortest string accepted by the candidate that uses a character the
-    superset cannot match.  Thompson fragments are trim, so one exists
-    whenever the Σ gate fails."""
-    alphabet = partition_classes(candidate.classes)
-    dfa = powerset(candidate, alphabet)
-    # BFS over (state, seen-foreign-char) pairs.
-    start = (dfa.start, False)
-    pred = {start: None}
-    queue = [start]
-    i = 0
-    while i < len(queue):
-        state, seen = queue[i]
-        i += 1
-        if seen and state in dfa.accepting:
-            labels = []
-            node = (state, seen)
-            while pred[node] is not None:
-                node, c = pred[node]
-                labels.append(c)
-            return "".join(reversed(labels))
-        for block in alphabet:
-            nxt_state = dfa.step(state, block)
-            if nxt_state is None:
-                continue
-            foreign = block - allowed
-            # Prefer a foreign representative when the block offers one.
-            for use_foreign in (True, False):
-                chars = foreign if use_foreign else (block & allowed)
-                if not chars:
-                    continue
-                nxt = (nxt_state, seen or use_foreign)
-                if nxt not in pred:
-                    pred[nxt] = ((state, seen), min(chars))
-                    queue.append(nxt)
-    raise AssertionError("Σ gate failed but no witness found in a trim NFA")
-
-
 def decide_inclusion(superset: CompiledPattern, candidate: CompiledPattern,
                      use_reference: bool = False) -> InclusionVerdict:
-    """Full decision: Σ gate, pair partition, completion, complement, product
-    traversal.  `use_reference` switches to the unoptimized procedure."""
-    flagged = superset.approximate or candidate.approximate
-    if not alphabet_subset(candidate.nfa, superset.nfa):
-        witness = _foreign_witness(candidate.nfa, superset.nfa.chars())
-        return InclusionVerdict(included=False, witness=witness, flagged_approximate=flagged)
+    """Full decision: pair partition, completion, complement, product
+    traversal.  A candidate character the superset cannot match lands in a
+    block on which the superset's DFA goes to its sink, which its complement
+    accepts, so no separate Σ gate is needed for the verdict or the witness.
+    `use_reference` switches to the unoptimized procedure."""
     sigma = pair_alphabet(superset.nfa, candidate.nfa)
     sup_dfa = complete(powerset(superset.nfa, sigma), sigma)
     cand_dfa = complete(powerset(candidate.nfa, sigma), sigma)
@@ -484,7 +451,7 @@ def decide_inclusion(superset: CompiledPattern, candidate: CompiledPattern,
         verdict = inclusion_unoptimized(sup_dfa, cand_dfa)
     else:
         verdict = inclusion(complement(sup_dfa), cand_dfa)
-    return replace(verdict, flagged_approximate=flagged)
+    return replace(verdict, flagged_approximate=superset.approximate or candidate.approximate)
 
 
 def check_inclusion(superset: str, candidate: str, use_reference: bool = False) -> InclusionVerdict:
@@ -517,7 +484,7 @@ def dfa_to_dot(dfa: Dfa, name="dfa") -> str:
         shape = "doublecircle" if q in dfa.accepting else "circle"
         lines.append(f"  {q} [shape={shape}];")
     lines.append(f"  hidden -> {dfa.start};")
-    for (src, block), dst in sorted(dfa.transitions.items(), key=lambda kv: (kv[0][0], min(kv[0][1]))):
+    for (src, block), dst in dfa.transitions.items():
         lines.append(f'  {src} -> {dst} [label="{frontend.format_charset(block)}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True)
     p.add_argument("--out", required=True, help="inclusion report (JSON)")
     p.add_argument("--survivors", help="write the reduced rule set (JSONL)")
-    p.add_argument("--jobs", type=int, default=_env_int("REXINCL_JOBS", 1))
     p.add_argument("--polarity", choices=["pos", "neg", "both"], default="both")
     p.add_argument("--strict", action="store_true",
                    help="treat approximate-flagged inclusions as non-inclusions")
@@ -71,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", help="per-sentence results stream (JSONL)")
     p.add_argument("--sample", type=int)
     p.add_argument("--seed", type=int, default=_env_int("REXINCL_SEED", 0))
-    p.add_argument("--jobs", type=int, default=_env_int("REXINCL_JOBS", 1))
 
     p = sub.add_parser("bench", help="time full vs reduced rule sets on a corpus")
     p.add_argument("--rules", required=True)
@@ -164,7 +162,7 @@ def cmd_reduce(args) -> int:
     if args.polarity != "both":
         wanted = "positive" if args.polarity == "pos" else "negative"
         rules = [r for r in rules if r.polarity == wanted]
-    report = reducer.compute_inclusions(rules, jobs=max(1, args.jobs), strict=args.strict)
+    report = reducer.compute_inclusions(rules, strict=args.strict)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     if args.survivors:

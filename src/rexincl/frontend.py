@@ -586,35 +586,41 @@ class TraceRow:
 def _sya(tokens, trace: list[TraceRow] | None = None):
     ops: list[Token] = []
     out: list[Token] = []
-    remaining = "".join(token_str(t) for t in tokens)
+    unread = 0  # tokens[unread:] are still to be regarded
 
     def row(regarded, reason):
-        if trace is not None:
-            trace.append(TraceRow(
-                remaining=remaining or "-",
-                regarded=regarded,
-                op_stack="".join(token_str(t) for t in ops) or "-",
-                output_stack="".join(token_str(t) for t in out) or "-",
-                reason=reason,
-            ))
+        """Append a trace row when a trace was asked for.  `regarded` is a
+        token or None; `reason` may name it as {t} and the top operator as
+        {top}.  Nothing is formatted otherwise."""
+        if trace is None:
+            return
+        t = token_str(regarded) if regarded is not None else "-"
+        top = token_str(ops[-1]) if ops else ""
+        trace.append(TraceRow(
+            remaining="".join(token_str(x) for x in tokens[unread:]) or "-",
+            regarded=t,
+            op_stack="".join(token_str(x) for x in ops) or "-",
+            output_stack="".join(token_str(x) for x in out) or "-",
+            reason=reason.format(t=t, top=top),
+        ))
 
-    row("-", "-")
+    row(None, "-")
     for tok in tokens:
-        remaining = remaining[len(token_str(tok)):]
+        unread += 1
         kind = tok.kind
         if kind in (TokenKind.SYMBOL, TokenKind.EPSILON):
-            row(token_str(tok), f"{token_str(tok)} ∈ Σ")
+            row(tok, "{t} ∈ Σ")
             out.append(tok)
         elif kind is TokenKind.LPAREN:
-            row("(", "Opening (")
+            row(tok, "Opening (")
             ops.append(tok)
         elif kind is TokenKind.RPAREN:
             while ops and ops[-1].kind is not TokenKind.LPAREN:
-                row(")", "Closing )")
+                row(tok, "Closing )")
                 out.append(ops.pop())
             if not ops:
                 raise MalformedExpression("unbalanced parenthesis in token stream")
-            row(")", "Closing )")
+            row(tok, "Closing )")
             ops.pop()
         else:
             prec = _PRECEDENCE[kind]
@@ -622,21 +628,21 @@ def _sya(tokens, trace: list[TraceRow] | None = None):
             while (ops and ops[-1].kind is not TokenKind.LPAREN
                    and _PRECEDENCE[ops[-1].kind] >= prec):
                 if not popped:
-                    row(token_str(tok), "op.")
+                    row(tok, "op.")
                     popped = True
                 out.append(ops.pop())
             if not popped:
                 if ops and ops[-1].kind is not TokenKind.LPAREN:
-                    row(token_str(tok), f"op., {token_str(tok)} > {token_str(ops[-1])}")
+                    row(tok, "op., {t} > {top}")
                 else:
-                    row(token_str(tok), "op.")
+                    row(tok, "op.")
             ops.append(tok)
     while ops:
         if ops[-1].kind is TokenKind.LPAREN:
             raise MalformedExpression("unbalanced parenthesis in token stream")
-        row("-", "Pop op.")
+        row(None, "Pop op.")
         out.append(ops.pop())
-    row("-", "-")
+    row(None, "-")
     return out
 
 

@@ -10,7 +10,6 @@ land in a needs-review list instead.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import automata
@@ -136,37 +135,42 @@ def _compile_rules(rules):
     return compiled, skipped
 
 
-def _inclusions_for(r1_id, group_ids, compiled):
-    """Inner loop of the pairwise procedure: all rules r2 included by r1."""
-    included = []
-    flagged = []
-    sup = compiled[r1_id]
-    for r2_id in group_ids:
-        if r2_id == r1_id or r2_id not in compiled:
-            continue
-        cand = compiled[r2_id]
-        if not automata.alphabet_subset(cand.nfa, sup.nfa):
-            continue
-        verdict = automata.decide_inclusion(sup, cand)
-        if verdict.included:
-            included.append(r2_id)
-            if verdict.flagged_approximate:
-                flagged.append(r2_id)
-    return r1_id, included, flagged
+def _includes_in_group(ids, compiled):
+    """The pairwise procedure over one polarity group: every rule r1 mapped
+    to the rules it includes, and the included pairs that depend on an
+    approximate normalization.
 
-
-def _worker(args):
-    rules, r1_id, group_ids = args
-    compiled, _ = _compile_rules(rules)
-    return _inclusions_for(r1_id, group_ids, compiled)
+    All rules of the group share one partition alphabet, so each rule's
+    completed DFA, its complement and its character set are built once and
+    reused across all of its pairs.
+    """
+    sigma = automata.partition_classes(
+        set().union(*(compiled[i].nfa.classes for i in ids)))
+    dfas, chars = {}, {}
+    for i in ids:
+        dfas[i] = automata.complete(automata.powerset(compiled[i].nfa, sigma), sigma)
+        chars[i] = compiled[i].nfa.chars()
+    includes, flagged = {}, set()
+    for r1 in ids:
+        sup = automata.complement(dfas[r1])
+        includes[r1] = []
+        for r2 in ids:
+            # The Σ gate is a necessary condition, cheaper than the product.
+            if r2 == r1 or not chars[r2] <= chars[r1]:
+                continue
+            if automata.inclusion(sup, dfas[r2]).included:
+                includes[r1].append(r2)
+                if compiled[r1].approximate or compiled[r2].approximate:
+                    flagged.add((r1, r2))
+    return includes, flagged
 
 
 def compute_inclusions(rules, jobs: int = 1, strict: bool = False) -> InclusionReport:
     """Run the pairwise inclusion procedure over a rule set.
 
     With `strict`, inclusions involving approximate normalizations are
-    treated as non-inclusions.  The report is deterministic regardless of
-    `jobs`.
+    treated as non-inclusions.  `jobs` is accepted for compatibility and
+    ignored: the decision runs in this process.
     """
     report = InclusionReport()
     compiled, skipped = _compile_rules(rules)
@@ -174,23 +178,15 @@ def compute_inclusions(rules, jobs: int = 1, strict: bool = False) -> InclusionR
 
     groups = {}
     for rule in rules:
-        groups.setdefault(rule.polarity, []).append(rule.id)
+        if rule.id in compiled:
+            groups.setdefault(rule.polarity, []).append(rule.id)
 
     raw_includes = {}
     flagged_pairs = set()
-    for polarity, group_ids in sorted(groups.items()):
-        comparable = [i for i in group_ids if i in compiled]
-        if jobs > 1 and len(comparable) > 1:
-            group_rules = [r for r in rules if r.polarity == polarity]
-            tasks = [(group_rules, r1, group_ids) for r1 in comparable]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_worker, tasks))
-        else:
-            results = [_inclusions_for(r1, group_ids, compiled) for r1 in comparable]
-        for r1_id, included, flagged in results:
-            raw_includes[r1_id] = included
-            for r2_id in flagged:
-                flagged_pairs.add((r1_id, r2_id))
+    for _, ids in sorted(groups.items()):
+        includes, flagged = _includes_in_group(ids, compiled)
+        raw_includes.update(includes)
+        flagged_pairs |= flagged
 
     if strict:
         raw_includes = {

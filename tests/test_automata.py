@@ -228,6 +228,7 @@ def test_differential_fuzz_seeded():
         opt = am.decide_inclusion(sup, cand)
         ref = am.decide_inclusion(sup, cand, use_reference=True)
         assert opt.included == ref.included
+        assert opt.witness == ref.witness  # both shortest, found in one order
         if opt.included:
             assert oc.verify_inclusion(right, left, cfg["alphabet"], 6)
         else:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import extract_fixture as efx
 import ruleset_fixture as fx
+from rexincl import automata as am
 from rexincl.errors import DuplicateId, FormatError
 from rexincl.frontend import RawPattern
 from rexincl.reducer import (
@@ -139,12 +141,20 @@ class TestComputeInclusions:
         assert report.removed == {5, 205}
         assert report.histogram_by_id_bucket == {0: 1, 200: 1}
 
-    def test_parallel_matches_serial(self):
-        rules = fx.build_rules()[:20]
-        serial = compute_inclusions(rules, jobs=1)
-        parallel = compute_inclusions(rules, jobs=2)
-        assert serial.includes == parallel.includes
-        assert serial.removed == parallel.removed
+    @pytest.mark.parametrize("rules", [efx.RULES, fx.build_rules()],
+                             ids=["extract_fixture", "ruleset_fixture"])
+    def test_matches_per_pair_reference(self, rules):
+        # The shared per-group tables must give the relation that deciding
+        # every pair on its own, with the reference procedure, gives.
+        compiled = {r.id: am.compile_pattern(r.pattern) for r in rules}
+        expected = {
+            sup.id: [cand.id for cand in rules
+                     if cand.id != sup.id and cand.polarity == sup.polarity
+                     and am.decide_inclusion(compiled[sup.id], compiled[cand.id],
+                                             use_reference=True).included]
+            for sup in rules
+        }
+        assert compute_inclusions(rules).includes == expected
 
     def test_to_json_is_valid_and_sorted(self):
         rules = [neg(0, "ab"), neg(1, "[a-b](a|b)*")]
@@ -180,8 +190,6 @@ class TestReduce:
 
     def test_soundness_on_fixture(self):
         # Every removed rule's language is covered by a surviving rule.
-        from rexincl import automata as am
-
         rules = {r.id: r for r in fx.build_rules()}
         report = compute_inclusions(list(rules.values()))
         for gone in report.removed:
