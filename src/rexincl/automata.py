@@ -411,9 +411,9 @@ def alphabet_subset(candidate: Nfa, superset: Nfa) -> bool:
 
 @dataclass(frozen=True)
 class CompiledPattern:
-    """A pattern carried through parse → postfix → NFA once; DFAs are built
-    over a partition alphabet chosen by the caller: the pair's for a single
-    check, the polarity group's for a reduction."""
+    """A pattern carried through parse → postfix → NFA once; `completed_dfas`
+    builds DFAs over the partition of the patterns passed with it: the pair
+    for a single check, the polarity group for a reduction."""
 
     pattern: str
     expr: NormalizedExpr
@@ -437,16 +437,21 @@ def compile_postfix(prog: PostfixProgram) -> CompiledPattern:
     return CompiledPattern(pattern=str(prog), expr=expr, postfix=prog, nfa=thompson(prog))
 
 
+def completed_dfas(patterns) -> list[Dfa]:
+    """Completed DFAs of compiled patterns, in order, over one partition of
+    all their classes, so that any two of them can be compared."""
+    sigma = partition_classes(set().union(*(p.nfa.classes for p in patterns)))
+    return [complete(powerset(p.nfa, sigma), sigma) for p in patterns]
+
+
 def decide_inclusion(superset: CompiledPattern, candidate: CompiledPattern,
                      use_reference: bool = False) -> InclusionVerdict:
-    """Full decision: pair partition, completion, complement, product
+    """Full decision: the pair's `completed_dfas`, complement, product
     traversal.  A candidate character the superset cannot match lands in a
     block on which the superset's DFA goes to its sink, which its complement
     accepts, so no separate Σ gate is needed for the verdict or the witness.
     `use_reference` switches to the unoptimized procedure."""
-    sigma = pair_alphabet(superset.nfa, candidate.nfa)
-    sup_dfa = complete(powerset(superset.nfa, sigma), sigma)
-    cand_dfa = complete(powerset(candidate.nfa, sigma), sigma)
+    sup_dfa, cand_dfa = completed_dfas([superset, candidate])
     if use_reference:
         verdict = inclusion_unoptimized(sup_dfa, cand_dfa)
     else:

@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--survivors", help="write the reduced rule set (JSONL)")
     p.add_argument("--polarity", choices=["pos", "neg", "both"], default="both")
     p.add_argument("--strict", action="store_true",
-                   help="treat approximate-flagged inclusions as non-inclusions")
+                   help="leave approximate rules out of the comparison")
 
     p = sub.add_parser("extract", help="run the extraction pipeline over a corpus")
     p.add_argument("--rules", required=True)
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     )
     try:
         return _COMMANDS[args.command](args)
-    except RexinclError as exc:
+    except (RexinclError, OSError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import OutcomeMismatch
-from .reducer import Rule
+from .reducer import Rule, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -304,19 +304,11 @@ def load_corpus(path) -> list[Document]:
     """Plain-text directory (one document per .txt file) or JSONL with
     {"doc_id", "text"} objects."""
     path = Path(path)
-    docs = []
     if path.is_dir():
-        for f in sorted(path.glob("*.txt")):
-            docs.append(Document(doc_id=f.stem, text=f.read_text(encoding="utf-8")))
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                docs.append(Document(doc_id=str(obj["doc_id"]), text=obj["text"]))
-    return docs
+        return [Document(doc_id=f.stem, text=f.read_text(encoding="utf-8"))
+                for f in sorted(path.glob("*.txt"))]
+    return list(read_jsonl(
+        path, lambda obj: Document(doc_id=str(obj["doc_id"]), text=obj["text"])))
 
 
 def write_results(results, path):

@@ -559,10 +559,14 @@ def parse(raw: RawPattern | str) -> NormalizedExpr:
     if not text:
         raise PatternSyntaxError("empty pattern")
     parser = _Parser(text)
-    ast = parser.parse()
+    try:  # the parser and the emitter recurse once per nesting level and atom
+        ast = parser.parse()
+        tokens = tuple(_emit_raw(ast))
+    except RecursionError:
+        raise PatternSyntaxError("pattern too long or too deeply nested") from None
     stripped = tuple(parser.stripped)
     return NormalizedExpr(
-        tokens=tuple(_emit_raw(ast)),
+        tokens=tokens,
         approximate=bool(stripped),
         stripped_features=stripped,
     )

@@ -64,27 +64,33 @@ class InclusionReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def load_rules(path) -> list[Rule]:
-    """Parse a JSON Lines rule file; rules come back sorted by id."""
-    rules = []
-    seen = set()
+def read_jsonl(path, build):
+    """`build(obj)` for every non-blank line of a JSON Lines file, in order.
+    Invalid JSON, and a KeyError, TypeError or ValueError from `build`, raise
+    FormatError with the line number."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                item = build(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise FormatError(f"invalid JSON: {exc}", line=lineno) from exc
-            try:
-                rule = _rule_from_obj(obj)
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(str(exc), line=lineno) from exc
-            if rule.id in seen:
-                raise DuplicateId(f"duplicate rule id {rule.id}")
-            seen.add(rule.id)
-            rules.append(rule)
+            yield item
+
+
+def load_rules(path) -> list[Rule]:
+    """Parse a JSON Lines rule file; rules come back sorted by id."""
+    rules = []
+    seen = set()
+    for rule in read_jsonl(path, _rule_from_obj):
+        if rule.id in seen:
+            raise DuplicateId(f"duplicate rule id {rule.id}")
+        seen.add(rule.id)
+        rules.append(rule)
     rules.sort(key=lambda r: r.id)
     return rules
 
@@ -137,20 +143,15 @@ def _compile_rules(rules):
 
 def _includes_in_group(ids, compiled):
     """The pairwise procedure over one polarity group: every rule r1 mapped
-    to the rules it includes, and the included pairs that depend on an
-    approximate normalization.
+    to the rules it includes.
 
     All rules of the group share one partition alphabet, so each rule's
     completed DFA, its complement and its character set are built once and
     reused across all of its pairs.
     """
-    sigma = automata.partition_classes(
-        set().union(*(compiled[i].nfa.classes for i in ids)))
-    dfas, chars = {}, {}
-    for i in ids:
-        dfas[i] = automata.complete(automata.powerset(compiled[i].nfa, sigma), sigma)
-        chars[i] = compiled[i].nfa.chars()
-    includes, flagged = {}, set()
+    dfas = dict(zip(ids, automata.completed_dfas([compiled[i] for i in ids])))
+    chars = {i: compiled[i].nfa.chars() for i in ids}
+    includes = {}
     for r1 in ids:
         sup = automata.complement(dfas[r1])
         includes[r1] = []
@@ -160,86 +161,52 @@ def _includes_in_group(ids, compiled):
                 continue
             if automata.inclusion(sup, dfas[r2]).included:
                 includes[r1].append(r2)
-                if compiled[r1].approximate or compiled[r2].approximate:
-                    flagged.add((r1, r2))
-    return includes, flagged
+    return includes
 
 
 def compute_inclusions(rules, jobs: int = 1, strict: bool = False) -> InclusionReport:
-    """Run the pairwise inclusion procedure over a rule set.
+    """Run the pairwise inclusion procedure over a rule set and derive the
+    report from the inverted relation: who includes each rule.
 
-    With `strict`, inclusions involving approximate normalizations are
-    treated as non-inclusions.  `jobs` is accepted for compatibility and
-    ignored: the decision runs in this process.
+    With `strict`, approximate rules are left out of the comparison.  `jobs`
+    is accepted for compatibility and ignored: the decision runs in this
+    process.
     """
     report = InclusionReport()
-    compiled, skipped = _compile_rules(rules)
-    report.skipped = skipped
+    compiled, report.skipped = _compile_rules(rules)
+    approximate = {i for i, c in compiled.items() if c.approximate}
 
     groups = {}
     for rule in rules:
-        if rule.id in compiled:
+        if rule.id in compiled and not (strict and rule.id in approximate):
             groups.setdefault(rule.polarity, []).append(rule.id)
-
-    raw_includes = {}
-    flagged_pairs = set()
+    includes = {}
     for _, ids in sorted(groups.items()):
-        includes, flagged = _includes_in_group(ids, compiled)
-        raw_includes.update(includes)
-        flagged_pairs |= flagged
-
-    if strict:
-        raw_includes = {
-            r1: [r2 for r2 in inc if (r1, r2) not in flagged_pairs]
-            for r1, inc in raw_includes.items()
-        }
-        flagged_pairs = set()
+        includes.update(_includes_in_group(ids, compiled))
 
     all_ids = [r.id for r in rules]
-    report.includes = {i: sorted(raw_includes.get(i, [])) for i in all_ids}
-    report.flagged = flagged_pairs
-    report.included_by_count = {
-        i: sum(1 for inc in raw_includes.values() if i in inc) for i in all_ids
-    }
+    report.includes = {i: sorted(includes.get(i, [])) for i in all_ids}
+    report.flagged = {(a, b) for a, inc in includes.items() for b in inc
+                      if a in approximate or b in approximate}
+    includers = {i: [] for i in all_ids}
+    for a, inc in includes.items():
+        for b in inc:
+            includers[b].append(a)
+    report.included_by_count = {i: len(includers[i]) for i in all_ids}
 
-    includes_sets = {i: set(v) for i, v in report.includes.items()}
-
-    def mutual(a, b):
-        return b in includes_sets[a] and a in includes_sets[b]
-
-    # Equivalence classes: connected components of mutual inclusion.
-    assigned = {}
+    # Decisions are exact, so mutual inclusion is an equivalence.  A rule is
+    # covered by an includer outside its class or by a lower id inside it,
+    # and removed when one cover's pair is unflagged: neither side approximate.
+    in_a_class = set()
     for i in all_ids:
-        if i in assigned:
-            continue
-        component = {i}
-        todo = [i]
-        while todo:
-            a = todo.pop()
-            for b in all_ids:
-                if b not in component and mutual(a, b):
-                    component.add(b)
-                    todo.append(b)
-        for m in component:
-            assigned[m] = component
-        if len(component) > 1:
-            report.equivalence_classes.append(sorted(component))
-
-    for rule in rules:
-        i = rule.id
-        strict_includers = [
-            s for s in all_ids
-            if i in includes_sets[s] and s not in includes_sets[i]
-        ]
-        clean_strict = [s for s in strict_includers if (s, i) not in flagged_pairs]
-        equiv_lower = [s for s in assigned[i] if s < i]
-        clean_equiv = [
-            s for s in equiv_lower
-            if (s, i) not in flagged_pairs and (i, s) not in flagged_pairs
-        ]
-        if clean_strict or clean_equiv:
+        equivalent = set(includers[i]).intersection(includes.get(i, ()))
+        if equivalent and i not in in_a_class:
+            report.equivalence_classes.append(sorted(equivalent | {i}))
+            in_a_class |= equivalent
+        covers = [s for s in includers[i] if s not in equivalent or s < i]
+        if covers and i not in approximate and not approximate.issuperset(covers):
             report.removed.add(i)
-        elif strict_includers or equiv_lower:
+        elif covers:
             report.needs_review.add(i)
 
     report.survivors = set(all_ids) - report.removed

@@ -44,6 +44,13 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("pattern", ["(" * 3000 + "a" + ")" * 3000, "a" * 5000],
+                             ids=["nested", "long"])
+    def test_pattern_too_deep_exits_two(self, capsys, pattern):
+        code, _, err = run(capsys, "check", pattern, "a")
+        assert code == 2
+        assert "error:" in err
+
     def test_unknown_flag_exits_two(self, capsys):
         code, _, _ = run(capsys, "check", "--nope", "a", "b")
         assert code == 2
@@ -152,6 +159,29 @@ class TestExtract:
         assert code == code2 == 0
         assert out1 == out2
         assert len(out1.splitlines()) == 6  # 2 per statistic type
+
+
+    @pytest.mark.parametrize("corpus", [
+        '{"doc_id": "d0", "text": "t = 2.1."}\n{oops\n',
+        '{"doc_id": "d0", "text": "t = 2.1."}\n{"text": "t = 2.1."}\n',
+    ], ids=["bad_json", "missing_doc_id"])
+    def test_bad_corpus_line_exits_two(self, capsys, paths, corpus):
+        rules_path, corpus_path, tmp_path = paths
+        corpus_path.write_text(corpus)
+        code, _, err = run(capsys, "extract", "--rules", str(rules_path),
+                           "--corpus", str(corpus_path), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "error: line 2:" in err
+
+    @pytest.mark.parametrize("missing", ["--rules", "--corpus"])
+    def test_missing_input_file_exits_two(self, capsys, paths, missing):
+        rules_path, corpus_path, tmp_path = paths
+        files = {"--rules": rules_path, "--corpus": corpus_path}
+        files[missing] = tmp_path / "absent.jsonl"
+        code, _, err = run(capsys, "extract", "--rules", str(files["--rules"]),
+                           "--corpus", str(files["--corpus"]), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "error:" in err and "absent.jsonl" in err
 
 
 class TestBenchCmd:

@@ -128,6 +128,28 @@ class TestComputeInclusions:
         assert report.removed == set()
         assert report.includes[0] == []
 
+    def test_class_with_approximate_member_and_unsorted_ids(self):
+        # 2, 4 and 7 are one language; ^(aa|ab) joins their class only
+        # approximately, so it is never removed silently.
+        rules = [neg(7, "a[ab]"), neg(2, "aa|ab"), neg(9, "^(aa|ab)"),
+                 neg(4, "a(a|b)"), neg(5, "a")]
+        report = compute_inclusions(rules)
+        assert report.equivalence_classes == [[2, 4, 7, 9]]
+        assert report.removed == {4, 7}
+        assert report.needs_review == {9}
+        assert report.flagged == {(9, 2), (9, 4), (9, 7), (2, 9), (4, 9), (7, 9)}
+        strict = compute_inclusions(rules, strict=True)
+        assert strict.equivalence_classes == [[2, 4, 7]]
+        assert strict.removed == {4, 7}
+        assert strict.needs_review == set()
+        assert strict.flagged == set()
+
+    def test_pattern_too_deep_skipped(self):
+        rules = [neg(0, "(" * 3000 + "a" + ")" * 3000), neg(1, "a" * 5000), neg(2, "a")]
+        report = compute_inclusions(rules)
+        assert set(report.skipped) == {0, 1}
+        assert "too long or too deeply nested" in report.skipped[0]
+
     def test_unsupported_rule_skipped(self):
         rules = [neg(0, "ab"), neg(1, r"(a)\1"), neg(2, "[a-b](a|b)*")]
         report = compute_inclusions(rules)
