@@ -37,6 +37,7 @@ from .frontend import (
     Token,
     TokenKind,
     parse,
+    parse_formal,
     parse_postfix,
     postfix_to_ast,
     shunting_yard_trace,

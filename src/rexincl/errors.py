@@ -10,7 +10,8 @@ class PatternSyntaxError(RexinclError):
 
 
 class UnsupportedFeature(RexinclError):
-    """The pattern uses a feature that cannot be approximated (backreferences)."""
+    """The pattern uses a feature that cannot be approximated: a backreference,
+    an atomic group or a possessive repeat."""
 
 
 class MalformedExpression(RexinclError):

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import OutcomeMismatch
+from .errors import FormatError, OutcomeMismatch
 from .reducer import Rule, read_jsonl
 
 log = logging.getLogger(__name__)
@@ -305,10 +305,16 @@ def load_corpus(path) -> list[Document]:
     {"doc_id", "text"} objects."""
     path = Path(path)
     if path.is_dir():
-        return [Document(doc_id=f.stem, text=f.read_text(encoding="utf-8"))
-                for f in sorted(path.glob("*.txt"))]
+        return [Document(doc_id=f.stem, text=_read_text(f)) for f in sorted(path.glob("*.txt"))]
     return list(read_jsonl(
         path, lambda obj: Document(doc_id=str(obj["doc_id"]), text=obj["text"])))
+
+
+def _read_text(path):
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_results(results, path):

@@ -1,21 +1,33 @@
-"""Practical-regex frontend: normalization to the five formal constructs and
-shunting-yard conversion to postfix.
+"""Frontend: normalization to the five formal constructs and shunting-yard
+conversion to postfix.
 
-The supported dialect is a subset of Python regular expressions.  Everything
-is lowered onto five constructs: symbols (carried as character *sets*, not
-expanded to alternations), the empty string, concatenation ('&'), alternation
-('|') and the Kleene star.  Features that cannot be represented exactly
-(anchors, lookarounds, inline flags) are stripped and recorded so downstream
-consumers can flag results as approximate.  Backreferences are rejected.
+Rules are Python regular expressions, and `parse` reads them with the host
+`re` engine's own parser, so a rule means here what it means to the engine
+that runs it.  The parse tree is lowered onto five constructs: symbols
+(carried as character *sets*, not expanded to alternations), the empty
+string, concatenation ('&'), alternation ('|') and the Kleene star.  Features
+that cannot be represented exactly (anchors, lookarounds, inline flags) are
+stripped and recorded so downstream consumers can flag results as
+approximate.  Backreferences and other non-regular constructs are rejected.
+
+`parse_formal` reads the paper's formal notation instead: one character per
+symbol, explicit '&', '|' and '*', parentheses and 'ε'.
 """
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 from .errors import MalformedExpression, PatternSyntaxError, UnsupportedFeature
+
+try:
+    from re import _parser as _sre  # Python 3.11+
+except ImportError:  # Python 3.10
+    import sre_parse as _sre
 
 # Character model: ASCII only.  The universe is printable ASCII plus the
 # common whitespace controls, so negated classes and '.' have a well-defined
@@ -26,11 +38,20 @@ WORD = frozenset(string.ascii_letters + string.digits + "_")
 SPACE = frozenset(" \t\r\n\f\v")
 DOT = UNIVERSE - {"\n"}
 
-EPSILON_CHAR = "ε"  # 'ε', accepted in patterns as the empty string
+EPSILON_CHAR = "ε"  # the empty string in the formal notation
 
 # Expanding X{m,n} into an alternation of powers is quadratic in n; refuse
 # bounds that would produce absurd token counts.
 MAX_REPEAT = 200
+
+_CATEGORIES = {
+    _sre.CATEGORY_DIGIT: DIGIT,
+    _sre.CATEGORY_NOT_DIGIT: UNIVERSE - DIGIT,
+    _sre.CATEGORY_WORD: WORD,
+    _sre.CATEGORY_NOT_WORD: UNIVERSE - WORD,
+    _sre.CATEGORY_SPACE: SPACE,
+    _sre.CATEGORY_NOT_SPACE: UNIVERSE - SPACE,
+}
 
 
 class TokenKind(Enum):
@@ -67,11 +88,22 @@ TOK_STAR = _tok(TokenKind.STAR)
 TOK_LPAREN = _tok(TokenKind.LPAREN)
 TOK_RPAREN = _tok(TokenKind.RPAREN)
 
+# The formal notation, one character per token; any other character is a
+# one-character symbol.
+_FORMAL_TOKENS = {"&": TOK_CONCAT, "|": TOK_ALT, "*": TOK_STAR, "(": TOK_LPAREN,
+                  ")": TOK_RPAREN, EPSILON_CHAR: TOK_EPSILON}
+_FORMAL_CHARS = {tok.kind: c for c, tok in _FORMAL_TOKENS.items()}
+
+
+def _formal_tokens(text) -> list[Token]:
+    return [_FORMAL_TOKENS.get(c) or Token(TokenKind.SYMBOL, frozenset(c)) for c in text]
+
 
 def format_charset(chars) -> str:
-    """Spell a character set as sorted ranges, e.g. '[0-9a-b]'."""
+    """Spell a character set as sorted ranges, e.g. '[0-9a-b]'.  A single
+    character is spelled bare unless it is a formal operator: '[&]'."""
     codes = sorted(ord(c) for c in chars)
-    if len(codes) == 1:
+    if len(codes) == 1 and chr(codes[0]) not in _FORMAL_TOKENS:
         return chr(codes[0])
     ranges = []
     lo = hi = codes[0]
@@ -101,14 +133,7 @@ def _show_char(c):
 def token_str(tok: Token) -> str:
     if tok.kind is TokenKind.SYMBOL:
         return format_charset(tok.chars)
-    return {
-        TokenKind.EPSILON: EPSILON_CHAR,
-        TokenKind.CONCAT: "&",
-        TokenKind.ALT: "|",
-        TokenKind.STAR: "*",
-        TokenKind.LPAREN: "(",
-        TokenKind.RPAREN: ")",
-    }[tok.kind]
+    return _FORMAL_CHARS[tok.kind]
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +208,8 @@ class RawPattern:
     source_id: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise ValueError(f"pattern must be a string, not {type(self.text).__name__}")
         if not self.text:
             raise ValueError("pattern text must be non-empty")
 
@@ -206,294 +233,96 @@ class PostfixProgram:
 
 
 # ---------------------------------------------------------------------------
-# Practical-dialect parser
+# Lowering the host engine's parse tree
 # ---------------------------------------------------------------------------
 
-class _Parser:
-    """Recursive-descent parser producing a formal AST directly.
+def _host_parse(text):
+    try:
+        return _sre.parse(text)
+    except (re.error, ValueError, OverflowError) as exc:  # each is how re rejects a pattern
+        raise PatternSyntaxError(str(exc)) from None
 
-    Bounded repetitions, '+', '?' and character classes are expanded during
-    parsing, so the output tree only contains the five formal constructs.
-    """
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.stripped: list[str] = []
+def _lower(items, stripped: list[str]) -> RegexAst:
+    """The formal AST of a sequence of sre parse-tree items."""
+    ast = EPS
+    for op, av in items:
+        ast = _concat(ast, _lower_item(op, av, stripped))
+    return ast
 
-    # -- character stream helpers
 
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def next(self):
-        c = self.peek()
-        if c is None:
-            raise PatternSyntaxError("unexpected end of pattern")
-        self.pos += 1
-        return c
-
-    def eat(self, c):
-        if self.peek() == c:
-            self.pos += 1
-            return True
-        return False
-
-    # -- grammar
-
-    def parse(self) -> RegexAst:
-        ast = self.alternation()
-        if self.peek() == ")":
-            raise PatternSyntaxError("unbalanced parenthesis")
-        if self.peek() is not None:
-            raise PatternSyntaxError(f"unexpected character {self.peek()!r}")
-        return ast
-
-    def alternation(self) -> RegexAst:
-        branches = [self.concatenation()]
-        while self.eat("|"):
-            branches.append(self.concatenation())
-        ast = branches[0]
-        for b in branches[1:]:
-            ast = Alt(ast, b)
-        return ast
-
-    def concatenation(self) -> RegexAst:
-        parts = []
-        while True:
-            c = self.peek()
-            if c is None or c in "|)":
-                break
-            if c == "&":
-                # Explicit concatenation operator of the formal dialect;
-                # language-neutral when used between terms.
-                self.next()
-                continue
-            parts.append(self.repetition())
-        ast = EPS
-        for p in parts:
-            ast = _concat(ast, p)
-        return ast
-
-    def repetition(self) -> RegexAst:
-        ast = self.atom()
-        while True:
-            c = self.peek()
-            if c == "*":
-                self.next()
-                ast = Star(ast)
-            elif c == "+":
-                self.next()
-                ast = _concat(ast, Star(ast))
-            elif c == "?":
-                self.next()
-                ast = Alt(ast, EPS)
-            elif c == "{":
-                bounds = self._try_bounds()
-                if bounds is None:
-                    break
-                ast = self._repeat(ast, *bounds)
-            else:
-                break
-            # A lazy-quantifier marker normalizes to the greedy form.
-            if self.peek() == "?" and c in "*+?}" + "{":
-                self.next()
-        return ast
-
-    def _try_bounds(self):
-        """Parse '{m,n}', '{m,}', '{,n}' or '{m}'; None if not bound syntax."""
-        start = self.pos
-        assert self.next() == "{"
-        body = ""
-        while self.peek() is not None and self.peek() != "}":
-            body += self.next()
-        if self.peek() is None or not _is_bounds(body):
-            self.pos = start  # literal '{', Python-compatible
-            return None
-        self.next()  # '}'
-        if "," in body:
-            lo, hi = body.split(",", 1)
-            m = int(lo) if lo else 0
-            n = int(hi) if hi else None
-        else:
-            m = n = int(body)
-        if n is not None and m > n:
-            raise PatternSyntaxError(f"invalid repetition bounds {{{body}}}")
+def _lower_item(op, av, stripped) -> RegexAst:
+    if op is _sre.IN:
+        return Sym(_char_class(av))
+    if op in (_sre.LITERAL, _sre.NOT_LITERAL, _sre.ANY):
+        return Sym(_char_class([(op, av)]))
+    if op is _sre.BRANCH:
+        return reduce(Alt, [_lower(branch, stripped) for branch in av[1]])
+    if op is _sre.SUBPATTERN:
+        _, add_flags, del_flags, body = av
+        if add_flags or del_flags:
+            stripped.append("flag")
+        return _lower(body, stripped)
+    if op in (_sre.MAX_REPEAT, _sre.MIN_REPEAT):  # a lazy repeat reads as greedy
+        m, n, body = av
+        n = None if n == _sre.MAXREPEAT else n
         if max(m, n or 0) > MAX_REPEAT:
-            raise PatternSyntaxError(f"repetition bound too large: {{{body}}}")
-        return m, n
+            raise PatternSyntaxError(f"repetition bound {max(m, n or 0)} exceeds {MAX_REPEAT}")
+        inner = _lower(body, stripped)
+        return Alt(inner, EPS) if (m, n) == (0, 1) else _repeat(inner, m, n)
+    if op is _sre.AT:
+        stripped.append("anchor")
+        return EPS
+    if op in (_sre.ASSERT, _sre.ASSERT_NOT):
+        direction, body = av
+        lo, hi = body.getwidth()
+        if direction < 0 and lo != hi:  # re rejects this when compiling
+            raise PatternSyntaxError("look-behind requires fixed-width pattern")
+        _lower(body, stripped)  # checked like the rest, then dropped
+        stripped.append("lookaround")
+        return EPS
+    if op in (_sre.GROUPREF, _sre.GROUPREF_EXISTS):
+        raise UnsupportedFeature("backreferences are not regular")
+    raise UnsupportedFeature(f"{str(op).lower().replace('_', ' ')} is not supported")
 
-    def _repeat(self, ast, m, n):
-        def power(k):
-            out = EPS
-            for _ in range(k):
-                out = _concat(out, ast)
-            return out
 
-        if n is None:
-            return _concat(power(m), Star(ast))
-        choices = [power(k) for k in range(m, n + 1)]
-        if not choices:
-            return EPS
-        out = choices[0]
-        for c in choices[1:]:
-            out = Alt(out, c)
+def _char_class(items) -> frozenset:
+    """The characters of sre set items; a leading NEGATE complements them."""
+    chars = set()
+    for op, av in items:
+        if op is _sre.LITERAL:
+            chars.add(chr(av))
+        elif op is _sre.NOT_LITERAL:
+            chars |= UNIVERSE - {chr(av)}
+        elif op is _sre.ANY:
+            chars |= DOT
+        elif op is _sre.RANGE:
+            chars.update(map(chr, range(av[0], av[1] + 1)))
+        elif op is _sre.CATEGORY:
+            chars |= _CATEGORIES[av]
+    if items and items[0][0] is _sre.NEGATE:
+        chars = UNIVERSE - chars
+    if not chars:
+        raise PatternSyntaxError("empty character class")
+    return frozenset(chars)
+
+
+def _repeat(ast, m, n):
+    def power(k):
+        out = EPS
+        for _ in range(k):
+            out = _concat(out, ast)
         return out
 
-    def atom(self) -> RegexAst:
-        c = self.next()
-        if c == "(":
-            return self.group()
-        if c == "[":
-            return Sym(self.char_class())
-        if c == "\\":
-            return self.escape()
-        if c == ".":
-            return Sym(DOT)
-        if c in "^$":
-            self.stripped.append("anchor")
-            return EPS
-        if c == EPSILON_CHAR:
-            return EPS
-        if c in "*+?":
-            raise PatternSyntaxError(f"dangling quantifier {c!r}")
-        if c in "|)":
-            raise PatternSyntaxError(f"unexpected {c!r}")  # unreachable via grammar
-        return Sym(frozenset(c))
-
-    def group(self) -> RegexAst:
-        if self.eat("?"):
-            return self.extension_group()
-        body = self.alternation()
-        if not self.eat(")"):
-            raise PatternSyntaxError("unbalanced parenthesis")
-        return body
-
-    def extension_group(self) -> RegexAst:
-        c = self.next()
-        if c == ":":
-            body = self.alternation()
-        elif c == "P":
-            if self.eat("="):
-                raise UnsupportedFeature("backreferences are not regular")
-            if not self.eat("<"):
-                raise PatternSyntaxError("malformed (?P...) group")
-            self._group_name()
-            body = self.alternation()
-        elif c == "<" and self.peek() in "=!":
-            self.next()
-            self.alternation()  # lookbehind: parsed, then dropped
-            self.stripped.append("lookaround")
-            body = EPS
-        elif c == "<":
-            self._group_name(first=c)
-            body = self.alternation()
-        elif c in "=!":
-            self.alternation()  # lookahead: parsed, then dropped
-            self.stripped.append("lookaround")
-            body = EPS
-        elif c == "#":
-            while self.peek() not in (")", None):
-                self.next()
-            body = EPS
-        elif c in "aiLmsux-":
-            flags = c
-            while self.peek() is not None and self.peek() in "aiLmsux-":
-                flags += self.next()
-            self.stripped.append("flag")
-            body = self.alternation() if self.eat(":") else EPS
-        else:
-            raise PatternSyntaxError(f"unsupported group (?{c}...)")
-        if not self.eat(")"):
-            raise PatternSyntaxError("unbalanced parenthesis")
-        return body
-
-    def _group_name(self, first=""):
-        name = ""
-        while self.peek() is not None and self.peek() != ">":
-            name += self.next()
-        if not self.eat(">") or not name:
-            raise PatternSyntaxError("malformed group name")
-
-    def escape(self) -> RegexAst:
-        c = self.next()
-        if c.isdigit():
-            raise UnsupportedFeature("backreferences are not regular")
-        if c in "bB":
-            # Word boundaries are zero-width; treated like anchors.
-            self.stripped.append("anchor")
-            return EPS
-        if c in "AZ":
-            self.stripped.append("anchor")
-            return EPS
-        cls = _escape_class(c)
-        if cls is not None:
-            return Sym(cls)
-        return Sym(frozenset(_escape_literal(c)))
-
-    def char_class(self) -> frozenset:
-        negated = self.eat("^")
-        items: set[str] = set()
-        first = True
-        while True:
-            c = self.peek()
-            if c is None:
-                raise PatternSyntaxError("unbalanced bracket in character class")
-            if c == "]" and not first:
-                self.next()
-                break
-            first = False
-            self.next()
-            if c == "\\":
-                e = self.next()
-                cls = _escape_class(e)
-                if cls is not None:
-                    items |= cls
-                    continue
-                lo = _escape_literal(e)
-            else:
-                lo = c
-            if self.peek() == "-" and self.pos + 1 < len(self.text) and self.text[self.pos + 1] != "]":
-                self.next()
-                hi = self.next()
-                if hi == "\\":
-                    hi = _escape_literal(self.next())
-                if ord(lo) > ord(hi):
-                    raise PatternSyntaxError(f"invalid range {lo}-{hi} in character class")
-                items |= {chr(k) for k in range(ord(lo), ord(hi) + 1)}
-            else:
-                items.add(lo)
-        if negated:
-            items = set(UNIVERSE) - items
-        if not items:
-            raise PatternSyntaxError("empty character class")
-        return frozenset(items)
-
-
-def _is_bounds(body):
-    if not body:
-        return False
-    parts = body.split(",")
-    if len(parts) > 2:
-        return False
-    if all(p == "" for p in parts):
-        return False
-    return all(p == "" or p.isdigit() for p in parts)
-
-
-def _escape_class(c):
-    return {
-        "d": DIGIT,
-        "D": UNIVERSE - DIGIT,
-        "w": WORD,
-        "W": UNIVERSE - WORD,
-        "s": SPACE,
-        "S": UNIVERSE - SPACE,
-    }.get(c)
-
-
-def _escape_literal(c):
-    return {"t": "\t", "n": "\n", "r": "\r", "f": "\f", "v": "\v", "0": "\0"}.get(c, c)
+    if n is None:
+        return _concat(power(m), Star(ast))
+    choices = [power(k) for k in range(m, n + 1)]
+    if not choices:
+        return EPS
+    out = choices[0]
+    for c in choices[1:]:
+        out = Alt(out, c)
+    return out
 
 
 def _concat(a, b):
@@ -549,27 +378,50 @@ def _emit_raw(node) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 def parse(raw: RawPattern | str) -> NormalizedExpr:
-    """Expand a practical pattern into the five formal constructs.
+    """Expand a rule pattern into the five formal constructs.
 
-    Returns an infix token stream with explicit '&' concatenation and all
-    metacharacters, classes and repetitions expanded.  Strippable features
-    are removed and recorded; backreferences raise UnsupportedFeature.
+    The pattern is read by the host `re` parser, so it is accepted or
+    rejected exactly as `re.compile` would.  Returns an infix token stream
+    with explicit '&' concatenation and all metacharacters, classes and
+    repetitions expanded.  Strippable features are removed and recorded;
+    backreferences raise UnsupportedFeature.
     """
     text = raw.text if isinstance(raw, RawPattern) else raw
     if not text:
         raise PatternSyntaxError("empty pattern")
-    parser = _Parser(text)
-    try:  # the parser and the emitter recurse once per nesting level and atom
-        ast = parser.parse()
-        tokens = tuple(_emit_raw(ast))
+    stripped = []
+    try:  # parsing, lowering and emitting recurse once per nesting level and atom
+        tree = _host_parse(text)
+        if tree.state.flags & ~_sre.SRE_FLAG_UNICODE:
+            stripped.append("flag")
+        tokens = tuple(_emit_raw(_lower(tree, stripped)))
     except RecursionError:
         raise PatternSyntaxError("pattern too long or too deeply nested") from None
-    stripped = tuple(parser.stripped)
     return NormalizedExpr(
         tokens=tokens,
         approximate=bool(stripped),
-        stripped_features=stripped,
+        stripped_features=tuple(stripped),
     )
+
+
+def parse_formal(text: str) -> NormalizedExpr:
+    """Read the paper's formal notation, e.g. '(b|a)&(a|b)*': one character
+    per symbol, explicit '&', '|' and '*', parentheses and 'ε'.  The tokens
+    are kept as written, so the shunting-yard trace is the paper's."""
+    tokens = _formal_tokens(text)
+    depth = 0
+    operand = False  # whether the tokens so far end in a complete operand
+    for tok in tokens:
+        closes = tok.kind in (TokenKind.STAR, TokenKind.CONCAT, TokenKind.ALT, TokenKind.RPAREN)
+        if closes != operand:
+            raise PatternSyntaxError(f"unexpected {token_str(tok)!r} in formal expression")
+        depth += (tok.kind is TokenKind.LPAREN) - (tok.kind is TokenKind.RPAREN)
+        if depth < 0:
+            raise PatternSyntaxError("unbalanced parenthesis")
+        operand = tok.kind not in (TokenKind.CONCAT, TokenKind.ALT, TokenKind.LPAREN)
+    if not operand or depth:
+        raise PatternSyntaxError("incomplete formal expression")
+    return NormalizedExpr(tokens=tuple(tokens), approximate=False, stripped_features=())
 
 
 _PRECEDENCE = {TokenKind.STAR: 3, TokenKind.CONCAT: 2, TokenKind.ALT: 1}
@@ -709,19 +561,6 @@ def postfix_to_ast(prog: PostfixProgram) -> RegexAst:
 
 def parse_postfix(text: str) -> PostfixProgram:
     """Parse a compact postfix string like 'ba|ab|*&' (one char per token)."""
-    tokens = []
-    for c in text:
-        if c == "&":
-            tokens.append(TOK_CONCAT)
-        elif c == "|":
-            tokens.append(TOK_ALT)
-        elif c == "*":
-            tokens.append(TOK_STAR)
-        elif c == EPSILON_CHAR:
-            tokens.append(TOK_EPSILON)
-        elif c in "()":
-            raise MalformedExpression("parenthesis in postfix program")
-        else:
-            tokens.append(Token(TokenKind.SYMBOL, frozenset(c)))
+    tokens = _formal_tokens(text)
     _check_arity(tokens)
     return PostfixProgram(tokens=tuple(tokens))

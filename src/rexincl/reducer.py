@@ -65,15 +65,15 @@ class InclusionReport:
 
 
 def read_jsonl(path, build):
-    """`build(obj)` for every non-blank line of a JSON Lines file, in order.
-    Invalid JSON, and a KeyError, TypeError or ValueError from `build`, raise
-    FormatError with the line number."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """`build(obj)` for every non-blank line of a UTF-8 JSON Lines file, in
+    order.  Invalid UTF-8 or JSON, and a KeyError, TypeError or ValueError
+    from `build`, raise FormatError with the line number."""
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 item = build(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise FormatError(f"invalid JSON: {exc}", line=lineno) from exc

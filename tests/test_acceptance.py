@@ -14,7 +14,7 @@ import ruleset_fixture as rfx
 from rexincl import automata as am
 from rexincl import oracle as oc
 from rexincl.extractor import bench, run_corpus
-from rexincl.frontend import parse, parse_postfix, shunting_yard_trace, to_postfix
+from rexincl.frontend import parse, parse_formal, parse_postfix, shunting_yard_trace, to_postfix
 from rexincl.reducer import compute_inclusions, reduce
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -53,7 +53,7 @@ def test_criterion_1_walkthrough():
     t0 = time.perf_counter()
     verdict = am.check_inclusion("[a-b](a|b)*", "ab")
     assert verdict.included and verdict.witness is None
-    derived = am.compile_postfix(to_postfix(parse("(b|a)&(a|b)*")))
+    derived = am.compile_postfix(to_postfix(parse_formal("(b|a)&(a|b)*")))
     reference = am.compile_postfix(parse_postfix("ba|ab|*&"))
     assert mutual_inclusion(derived, reference)
     assert time.perf_counter() - t0 < 1.0
@@ -61,7 +61,7 @@ def test_criterion_1_walkthrough():
 
 @pytest.mark.criterion(2, "conversion trace table")
 def test_criterion_2_trace_table():
-    postfix, trace = shunting_yard_trace(parse("(b|a)&(a|b)*"))
+    postfix, trace = shunting_yard_trace(parse_formal("(b|a)&(a|b)*"))
     got = [(r.regarded, r.op_stack, r.output_stack) for r in trace]
     assert got == EXPECTED_TRACE
     assert str(postfix) == "ba|ab|*&"

@@ -57,7 +57,7 @@ class TestPowerset:
             assert dfa.accepts(s) == nfa.accepts(s)
 
     def test_epsilon_pattern(self):
-        dfa = am.powerset(nfa_of("ε"))
+        dfa = am.powerset(nfa_of("()"))
         assert dfa.n_states == 1
         assert dfa.start in dfa.accepting
 
@@ -162,13 +162,18 @@ class TestInclusion:
         assert am.alphabet_subset(nfa_of(r"\d"), nfa_of(r"\w"))
 
     def test_epsilon_cases(self):
-        assert am.check_inclusion("a*", "ε").included
+        assert am.check_inclusion("a*", "()").included
         verdict = am.check_inclusion("a", "a?")
         assert not verdict.included
         assert verdict.witness == ""  # candidate accepts ε, superset does not
 
+    def test_hex_escape_is_its_character(self):
+        verdict = am.check_inclusion(r"x\d+", r"\x41")
+        assert not verdict.included
+        assert verdict.witness == "A"
+
     def test_unoptimized_matches_on_examples(self):
-        pairs = [("[a-b](a|b)*", "ab"), ("ab", "ab|c"), ("a*", "ε"),
+        pairs = [("[a-b](a|b)*", "ab"), ("ab", "ab|c"), ("a*", "()"),
                  ("a?", "a"), ("a", "a?")]
         for sup, cand in pairs:
             a = am.check_inclusion(sup, cand)

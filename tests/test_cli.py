@@ -65,16 +65,17 @@ class TestExplain:
     def test_trace_table_rows(self, capsys):
         code, out, _ = run(capsys, "explain", "(b|a)&(a|b)*")
         assert code == 0
-        assert "postfix: ba|ab|*&" in out
+        # A rule is read as `re` reads it: '&' is a literal character.
+        assert "postfix: [ab][&]&[ab]*&" in out
         assert "digraph" in out  # automata rendered as dot
 
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "explain", "--json", "(b|a)&(a|b)*")
         doc = json.loads(out)
         assert code == 0
-        assert doc["postfix"] == "ba|ab|*&"
-        assert doc["nfa_states"] == 13
-        assert len(doc["trace"]) == 18
+        assert doc["postfix"] == "[ab][&]&[ab]*&"
+        assert doc["nfa_states"] == 6
+        assert len(doc["trace"]) == 10
 
 
 class TestReduce:
@@ -119,6 +120,18 @@ class TestReduce:
                            "--out", str(tmp_path / "r.json"))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("content", [
+        b'{"id": 1, "pattern": 5, "polarity": "negative"}\n',
+        b'\xff\xfe{"id": 1, "pattern": "a", "polarity": "negative"}\n',
+    ], ids=["non_string_pattern", "not_utf8"])
+    def test_bad_rule_line_exits_two(self, capsys, tmp_path, content):
+        rules_path = tmp_path / "rules.jsonl"
+        rules_path.write_bytes(content)
+        code, _, err = run(capsys, "reduce", "--rules", str(rules_path),
+                           "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "error: line 1:" in err
 
 
 class TestExtract:
@@ -172,6 +185,25 @@ class TestExtract:
                            "--corpus", str(corpus_path), "--out", str(tmp_path / "r.json"))
         assert code == 2
         assert "error: line 2:" in err
+
+    def test_corpus_not_utf8_exits_two(self, capsys, paths):
+        rules_path, corpus_path, tmp_path = paths
+        corpus_path.write_bytes(b'\xff\xfe{"doc_id": "d0", "text": "t = 2.1."}\n')
+        code, _, err = run(capsys, "extract", "--rules", str(rules_path),
+                           "--corpus", str(corpus_path), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "error: line 1:" in err
+
+    def test_corpus_dir_file_not_utf8_exits_two(self, capsys, paths):
+        rules_path, _, tmp_path = paths
+        corpus_dir = tmp_path / "papers"
+        corpus_dir.mkdir()
+        (corpus_dir / "good.txt").write_text("We found t(12) = 2.10, p < .05 here.")
+        (corpus_dir / "bad.txt").write_bytes(b"\xff\xfe t = 2.1.")
+        code, _, err = run(capsys, "extract", "--rules", str(rules_path),
+                           "--corpus", str(corpus_dir), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "error:" in err and "bad.txt" in err
 
     @pytest.mark.parametrize("missing", ["--rules", "--corpus"])
     def test_missing_input_file_exits_two(self, capsys, paths, missing):

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rexincl.errors import MalformedExpression, PatternSyntaxError, UnsupportedFeature
@@ -9,6 +11,7 @@ from rexincl.frontend import (
     WORD,
     TokenKind,
     parse,
+    parse_formal,
     parse_postfix,
     postfix_to_ast,
     shunting_yard_trace,
@@ -93,19 +96,31 @@ class TestParse:
         assert "a" not in chars and "b" in chars and " " in chars
 
     def test_epsilon_literal_and_empty_group(self):
-        assert lang("ε", "a", 2) == {""}
+        assert lang("()", "a", 2) == {""}
         assert lang("a(|b)", "ab", 3) == {"a", "ab"}
 
     def test_explicit_concat_operator(self):
-        assert lang("a&b", "ab", 3) == {"ab"}
+        ast = postfix_to_ast(to_postfix(parse_formal("a&b")))
+        assert enumerate_language(ast, "ab", 3).accepted == {"ab"}
+
+
+class TestParseFormal:
+    def test_tokens_as_written(self):
+        assert str(parse_formal("(b|a)&(a|b)*")) == "(b|a)&(a|b)*"
+        assert str(parse_formal("ε|a")) == "ε|a"
+
+    def test_malformed(self):
+        for bad in ["", "ab", "()", "a&", "(a", "a)", "*a", "a|*", "a(b)"]:
+            with pytest.raises(PatternSyntaxError):
+                parse_formal(bad)
 
 
 class TestToPostfix:
     def test_worked_example(self):
-        assert postfix_of("(b|a)&(a|b)*") == "ba|ab|*&"
+        assert str(to_postfix(parse_formal("(b|a)&(a|b)*"))) == "ba|ab|*&"
 
     def test_alternation(self):
-        assert postfix_of("a|b") == "ab|"
+        assert str(to_postfix(parse_formal("a|b"))) == "ab|"
 
     def test_single_symbol(self):
         assert postfix_of("a") == "a"
@@ -150,7 +165,7 @@ class TestPostfixToAst:
 
 SUPPORTED = st.sampled_from([
     "ab", "a|b", "a*b", "(a|b)*", "a{2,3}", "[ab]c", "a?b+", "(ab|b)*a",
-    "[a-b](a|b)*", "a(|b)c", "((a))", "a{1,}b?",
+    "[a-b](a|b)*", "a(|b)c", "((a))", "a{1,}b?", "a&b", r"\x61b", "(?x) a b",
 ])
 
 
@@ -159,10 +174,8 @@ SUPPORTED = st.sampled_from([
 def test_roundtrip_language_preserved(pattern):
     """postfix_to_ast(to_postfix(parse(p))) accepts exactly what a naive
     reading of p accepts, checked by exhaustive enumeration."""
-    import re
-
     ast = postfix_to_ast(to_postfix(parse(pattern)))
-    host = re.compile(f"(?:{pattern.replace('ε', '')})\\Z" if "ε" in pattern else f"(?:{pattern})\\Z")
+    host = re.compile(pattern)
     for s in enumerate_language(ast, "ab", 5).accepted:
         assert host.fullmatch(s) is not None, (pattern, s)
     sample = enumerate_language(ast, "ab", 5).accepted
@@ -171,3 +184,19 @@ def test_roundtrip_language_preserved(pattern):
         for combo in itertools.product("ab", repeat=k):
             s = "".join(combo)
             assert (host.fullmatch(s) is not None) == (s in sample), (pattern, s)
+
+
+@pytest.mark.filterwarnings("ignore::FutureWarning", "ignore::DeprecationWarning")
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab(|)[^]{,}*+?\\.:-=!<>P#imx01dqεw&$", max_size=10))
+@example("(?<n>a)")
+@example(r"\q")
+@example("a(?i)b")
+def test_parse_accepts_only_what_re_compiles(pattern):
+    """Rules are read by the host parser: whatever `parse` accepts, the
+    engine that runs the rules accepts too."""
+    try:
+        parse(pattern)
+    except (PatternSyntaxError, UnsupportedFeature):
+        return
+    re.compile(pattern)

@@ -150,6 +150,14 @@ class TestComputeInclusions:
         assert set(report.skipped) == {0, 1}
         assert "too long or too deeply nested" in report.skipped[0]
 
+    def test_ampersand_is_a_literal(self):
+        # '&' is a literal character to the engine, so "See RD 5 here" is
+        # rejected by rule 1 only; removing it would leave the sentence unmatched.
+        rules = [neg(0, r"R&D \d+"), neg(1, r"RD \d+")]
+        report = compute_inclusions(rules)
+        assert report.includes == {0: [], 1: []}
+        assert report.removed == set()
+
     def test_unsupported_rule_skipped(self):
         rules = [neg(0, "ab"), neg(1, r"(a)\1"), neg(2, "[a-b](a|b)*")]
         report = compute_inclusions(rules)
