@@ -4,7 +4,9 @@ product-traversal inclusion decision procedure.
 Transitions are labeled with character *sets*.  Before two automata are
 compared, the classes of both are refined into a partition of disjoint
 blocks, and DFAs are built over those blocks, so a transition on '\\w' and a
-transition on '\\d' line up on the shared block {0..9}.
+transition on '\\d' line up on the shared block of the digits.  Character
+sets are `frontend`'s code-point interval sets, and only `frontend` looks
+inside them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .frontend import (
     PostfixProgram,
     RawPattern,
     TokenKind,
+    partition_classes,
 )
 
 EPS_LABEL = None  # transition label for ε edges
@@ -30,17 +33,18 @@ class Nfa:
     n_states: int
     start: int
     accept: int
-    transitions: tuple  # (src, label, dst); label is a frozenset or EPS_LABEL
+    transitions: tuple  # (src, label, dst); label is a character set or EPS_LABEL
 
     @property
-    def classes(self) -> set[frozenset]:
-        return {label for _, label, _ in self.transitions if label is not EPS_LABEL}
+    def classes(self) -> list:
+        """The distinct labels, told apart by identity so that no label is
+        hashed; `frontend.parse` gives a repeated class as one object."""
+        labels = {id(label): label for _, label, _ in self.transitions if label is not EPS_LABEL}
+        return list(labels.values())
 
-    def chars(self) -> frozenset:
-        out = set()
-        for cls in self.classes:
-            out |= cls
-        return frozenset(out)
+    def chars(self):
+        """The character set of every character the NFA can match."""
+        return frontend.charset_union(self.classes)
 
     def accepts(self, s: str) -> bool:
         """Direct NFA simulation; used for cross-checks, not production."""
@@ -56,7 +60,7 @@ class Nfa:
             nxt = set()
             for q in current:
                 for label, dst in step[q]:
-                    if c in label:
+                    if frontend.charset_contains(label, c):
                         nxt.add(dst)
             current = _closure(nxt, eps)
             if not current:
@@ -101,10 +105,11 @@ class Dfa:
                 for block, dst in zip(self.alphabet, row) if dst >= 0}
 
     def accepts(self, s: str) -> bool:
-        column = {c: i for i, block in enumerate(self.alphabet) for c in block}
+        column = {c: next((i for i, block in enumerate(self.alphabet)
+                           if frontend.charset_contains(block, c)), None) for c in set(s)}
         state = self.start
         for c in s:
-            i = column.get(c)
+            i = column[c]
             if i is None:
                 return False
             state = self.table[state][i]
@@ -127,25 +132,20 @@ class InclusionVerdict:
 # Alphabet partitioning
 # ---------------------------------------------------------------------------
 
-def partition_classes(classes) -> tuple:
-    """Refine a family of character sets into disjoint blocks covering their
-    union.  Every input class is then a union of blocks."""
-    blocks: list[frozenset] = []
-    for cls in classes:
-        rest = set(cls)
-        new_blocks = []
-        for b in blocks:
-            inter = b & cls
-            if not inter or inter == b:
-                new_blocks.append(b)
-            else:
-                new_blocks.append(inter)
-                new_blocks.append(b - cls)
-            rest -= b
-        if rest:
-            new_blocks.append(frozenset(rest))
-        blocks = new_blocks
-    return tuple(sorted(blocks, key=lambda b: min(b)))
+def block_masks(nfas) -> list[int]:
+    """Each NFA's characters as an int with one bit per block of the
+    partition of all their classes.  Blocks refine every class, so `a & ~b`
+    is zero exactly when every character of `a` is in `b`."""
+    labels = list({id(label): label for nfa in nfas for label in nfa.classes}.values())
+    _, columns = frontend.partition(labels)
+    bits = {id(label): sum(1 << i for i in cols) for label, cols in zip(labels, columns)}
+    masks = []
+    for nfa in nfas:
+        mask = 0
+        for label in nfa.classes:
+            mask |= bits[id(label)]
+        masks.append(mask)
+    return masks
 
 
 def pair_alphabet(a: Nfa, b: Nfa) -> tuple:
@@ -230,27 +230,29 @@ def thompson(prog: PostfixProgram) -> Nfa:
 def powerset(nfa: Nfa, alphabet: tuple | None = None) -> Dfa:
     """Determinize over ε-closure subsets, reachable states only.
 
-    `alphabet` must be a partition refining the NFA's classes; by default the
-    NFA's own partition alphabet is used.
+    `alphabet` must be a partition refining the NFA's classes, as
+    `partition_classes` returns it; by default the NFA's own partition
+    alphabet is used.
     """
     if alphabet is None:
         alphabet = partition_classes(nfa.classes)
+    # The alphabet refines the labels exactly when they refine it no further.
+    labels = nfa.classes
+    blocks, columns = frontend.partition([*alphabet, *labels])
+    if blocks != tuple(alphabet):
+        raise AlphabetMismatch("alphabet does not refine NFA classes")
+    return _determinize(nfa, alphabet, dict(zip(map(id, labels), columns[len(blocks):])))
+
+
+def _determinize(nfa: Nfa, alphabet: tuple, columns: dict) -> Dfa:
+    """`powerset`, given id(label) -> the blocks each label is made of."""
     eps = [[] for _ in range(nfa.n_states)]
     step = [[] for _ in range(nfa.n_states)]  # (block index, dst)
-    columns = {}  # label -> indices of the blocks it is the union of
     for src, label, dst in nfa.transitions:
         if label is EPS_LABEL:
             eps[src].append(dst)
-            continue
-        if label not in columns:
-            cols = []
-            for i, block in enumerate(alphabet):
-                if block <= label:
-                    cols.append(i)
-                elif not block.isdisjoint(label):
-                    raise AlphabetMismatch("alphabet does not refine NFA classes")
-            columns[label] = cols
-        step[src].extend((i, dst) for i in columns[label])
+        else:
+            step[src].extend((i, dst) for i in columns[id(label)])
 
     start_set = frozenset(_closure({nfa.start}, eps))
     ids = {start_set: 0}
@@ -283,9 +285,10 @@ def powerset(nfa: Nfa, alphabet: tuple | None = None) -> Dfa:
 
 
 def complete(dfa: Dfa, sigma: tuple) -> Dfa:
-    """Make the transition function total over `sigma` via a non-accepting
-    sink row.  Idempotent when the DFA is already complete over sigma."""
-    sigma = tuple(sorted(set(sigma), key=lambda b: min(b)))
+    """Make the transition function total over `sigma`, a partition as
+    `partition_classes` returns it, via a non-accepting sink row.
+    Idempotent when the DFA is already complete over sigma."""
+    sigma = tuple(sigma)
     if dfa.alphabet == sigma:
         table = dfa.table
     else:
@@ -332,7 +335,7 @@ def _witness_from(pred, pair, alphabet):
     labels = []
     while pred[pair] is not None:
         pair, i = pred[pair]
-        labels.append(min(alphabet[i]))
+        labels.append(frontend.charset_min(alphabet[i]))
     return "".join(reversed(labels))
 
 
@@ -402,7 +405,7 @@ def inclusion_unoptimized(a1: Dfa, a2: Dfa) -> InclusionVerdict:
 def alphabet_subset(candidate: Nfa, superset: Nfa) -> bool:
     """Σ precondition: every character the candidate can match must be
     matchable by the superset."""
-    return candidate.chars() <= superset.chars()
+    return frontend.charset_subset(candidate.chars(), superset.chars())
 
 
 # ---------------------------------------------------------------------------
@@ -439,31 +442,28 @@ def compile_postfix(prog: PostfixProgram) -> CompiledPattern:
 
 def completed_dfas(patterns) -> list[Dfa]:
     """Completed DFAs of compiled patterns, in order, over one partition of
-    all their classes, so that any two of them can be compared."""
-    sigma = partition_classes(set().union(*(p.nfa.classes for p in patterns)))
-    return [complete(powerset(p.nfa, sigma), sigma) for p in patterns]
+    all their classes, so that any two of them can be compared.  The
+    partition is built from the labels, so it gives their blocks too."""
+    labels = list({id(c): c for p in patterns for c in p.nfa.classes}.values())
+    sigma, columns = frontend.partition(labels)
+    columns = dict(zip(map(id, labels), columns))
+    return [complete(_determinize(p.nfa, sigma, columns), sigma) for p in patterns]
 
 
-def decide_inclusion(superset: CompiledPattern, candidate: CompiledPattern,
-                     use_reference: bool = False) -> InclusionVerdict:
+def decide_inclusion(superset: CompiledPattern, candidate: CompiledPattern) -> InclusionVerdict:
     """Full decision: the pair's `completed_dfas`, complement, product
     traversal.  A candidate character the superset cannot match lands in a
     block on which the superset's DFA goes to its sink, which its complement
-    accepts, so no separate Σ gate is needed for the verdict or the witness.
-    `use_reference` switches to the unoptimized procedure."""
+    accepts, so no separate Σ gate is needed for the verdict or the witness."""
     sup_dfa, cand_dfa = completed_dfas([superset, candidate])
-    if use_reference:
-        verdict = inclusion_unoptimized(sup_dfa, cand_dfa)
-    else:
-        verdict = inclusion(complement(sup_dfa), cand_dfa)
+    verdict = inclusion(complement(sup_dfa), cand_dfa)
     return replace(verdict, flagged_approximate=superset.approximate or candidate.approximate)
 
 
-def check_inclusion(superset: str, candidate: str, use_reference: bool = False) -> InclusionVerdict:
+def check_inclusion(superset: str, candidate: str) -> InclusionVerdict:
     """Convenience wrapper over raw pattern strings: is L(candidate) ⊆
     L(superset)?"""
-    return decide_inclusion(compile_pattern(superset), compile_pattern(candidate),
-                            use_reference=use_reference)
+    return decide_inclusion(compile_pattern(superset), compile_pattern(candidate))
 
 
 # ---------------------------------------------------------------------------

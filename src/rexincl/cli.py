@@ -48,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("candidate", help="candidate (smaller) pattern")
     p.add_argument("superset", help="superset (larger) pattern")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--unoptimized", action="store_true",
-                   help="use the reference product-automaton procedure")
 
     p = sub.add_parser("explain", help="show normalization, shunting-yard trace, and automata")
     p.add_argument("pattern")
@@ -90,7 +88,7 @@ def cmd_check(args) -> int:
     cand = automata.compile_pattern(args.candidate)
     sup = automata.compile_pattern(args.superset)
     sigma_ok = automata.alphabet_subset(cand.nfa, sup.nfa)
-    verdict = automata.decide_inclusion(sup, cand, use_reference=args.unoptimized)
+    verdict = automata.decide_inclusion(sup, cand)
     if args.json:
         print(json.dumps({
             "candidate": args.candidate,
@@ -213,12 +211,12 @@ def cmd_bench(args) -> int:
 def cmd_oracle_verify(args) -> int:
     left = frontend.postfix_to_ast(frontend.to_postfix(frontend.parse(args.left)))
     right = frontend.postfix_to_ast(frontend.to_postfix(frontend.parse(args.right)))
-    alphabet = sorted(frontend.ast_chars(left) | frontend.ast_chars(right))
+    alphabet = oracle.alphabet_of(left, right)
     ok = oracle.verify_inclusion(left, right, alphabet, args.max_len)
     print(json.dumps({
         "left": args.left,
         "right": args.right,
-        "alphabet": "".join(alphabet),
+        "alphabet": alphabet,
         "max_len": args.max_len,
         "included_up_to_bound": ok,
     }, sort_keys=True))

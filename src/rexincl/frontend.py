@@ -4,11 +4,12 @@ conversion to postfix.
 Rules are Python regular expressions, and `parse` reads them with the host
 `re` engine's own parser, so a rule means here what it means to the engine
 that runs it.  The parse tree is lowered onto five constructs: symbols
-(carried as character *sets*, not expanded to alternations), the empty
-string, concatenation ('&'), alternation ('|') and the Kleene star.  Features
-that cannot be represented exactly (anchors, lookarounds, inline flags) are
-stripped and recorded so downstream consumers can flag results as
-approximate.  Backreferences and other non-regular constructs are rejected.
+(carried as character *sets* of code-point intervals, not expanded to
+alternations), the empty string, concatenation ('&'), alternation ('|') and
+the Kleene star.  Features that cannot be represented exactly (anchors,
+lookarounds, inline flags) are stripped and recorded so downstream consumers
+can flag results as approximate.  Backreferences and other non-regular
+constructs are rejected.
 
 `parse_formal` reads the paper's formal notation instead: one character per
 symbol, explicit '&', '|' and '*', parentheses and 'ε'.
@@ -17,10 +18,12 @@ symbol, explicit '&', '|' and '*', parentheses and 'ε'.
 from __future__ import annotations
 
 import re
-import string
+import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import MalformedExpression, PatternSyntaxError, UnsupportedFeature
 
@@ -29,29 +32,165 @@ try:
 except ImportError:  # Python 3.10
     import sre_parse as _sre
 
-# Character model: ASCII only.  The universe is printable ASCII plus the
-# common whitespace controls, so negated classes and '.' have a well-defined
-# complement.
-UNIVERSE = frozenset(chr(c) for c in range(32, 127)) | frozenset("\t\n\r\f\v")
-DIGIT = frozenset(string.digits)
-WORD = frozenset(string.ascii_letters + string.digits + "_")
-SPACE = frozenset(" \t\r\n\f\v")
-DOT = UNIVERSE - {"\n"}
-
 EPSILON_CHAR = "ε"  # the empty string in the formal notation
 
 # Expanding X{m,n} into an alternation of powers is quadratic in n; refuse
 # bounds that would produce absurd token counts.
 MAX_REPEAT = 200
 
+
+# ---------------------------------------------------------------------------
+# Character sets
+# ---------------------------------------------------------------------------
+#
+# A character set is a sorted tuple of disjoint, non-adjacent (lo, hi)
+# code-point intervals over the universe 0..MAX_CODE, so '.' and every
+# negation are complements over all of Unicode, as in `re`, and the work on a
+# set grows with its intervals, not its characters.  Every operation on the
+# format is in this section; other modules never look inside a set.
+
+MAX_CODE = 0x10FFFF
+_NATIVE_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+
+# sre's categories, as the classes whose characters are read off `re` itself.
 _CATEGORIES = {
-    _sre.CATEGORY_DIGIT: DIGIT,
-    _sre.CATEGORY_NOT_DIGIT: UNIVERSE - DIGIT,
-    _sre.CATEGORY_WORD: WORD,
-    _sre.CATEGORY_NOT_WORD: UNIVERSE - WORD,
-    _sre.CATEGORY_SPACE: SPACE,
-    _sre.CATEGORY_NOT_SPACE: UNIVERSE - SPACE,
+    _sre.CATEGORY_DIGIT: r"\d", _sre.CATEGORY_NOT_DIGIT: r"\D",
+    _sre.CATEGORY_WORD: r"\w", _sre.CATEGORY_NOT_WORD: r"\W",
+    _sre.CATEGORY_SPACE: r"\s", _sre.CATEGORY_NOT_SPACE: r"\S",
 }
+
+
+def charset(ranges) -> tuple:
+    """The character set of (lo, hi) code-point ranges given in any order,
+    overlapping or not."""
+    out = []
+    for lo, hi in sorted(ranges):
+        if out and lo <= out[-1][1] + 1:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
+def charset_of(chars) -> tuple:
+    """The character set of the characters of a string."""
+    return charset((ord(c), ord(c)) for c in chars)
+
+
+def charset_union(sets) -> tuple:
+    return charset(interval for cs in sets for interval in cs)
+
+
+def charset_complement(cs) -> tuple:
+    out = []
+    nxt = 0  # the lowest code point not yet placed in or out of a gap
+    for lo, hi in cs:
+        if lo > nxt:
+            out.append((nxt, lo - 1))
+        nxt = hi + 1
+    if nxt <= MAX_CODE:
+        out.append((nxt, MAX_CODE))
+    return tuple(out)
+
+
+def charset_contains(cs, c) -> bool:
+    code = ord(c)
+    i = bisect_right(cs, (code, MAX_CODE + 1)) - 1
+    return i >= 0 and cs[i][1] >= code
+
+
+def charset_subset(a, b) -> bool:
+    """Whether every character of `a` is in `b`."""
+    return charset_union([a, b]) == b
+
+
+def charset_size(cs) -> int:
+    return sum(hi - lo + 1 for lo, hi in cs)
+
+
+def charset_min(cs) -> str:
+    """The set's lowest character."""
+    return chr(cs[0][0])
+
+
+def charset_chars(cs) -> str:
+    """Every character of the set, in code-point order; for small sets."""
+    return "".join(chr(c) for lo, hi in cs for c in range(lo, hi + 1))
+
+
+def format_charset(chars) -> str:
+    """Spell a character set as ranges, e.g. '[0-9a-b]'.  A single character
+    is spelled bare unless it is a formal operator: '[&]'."""
+    if len(chars) == 1 and chars[0][0] == chars[0][1] and chr(chars[0][0]) not in _FORMAL_TOKENS:
+        return _show_char(chars[0][0])
+    parts = []
+    for lo, hi in chars:
+        if lo == hi:
+            parts.append(_show_char(lo))
+        elif hi == lo + 1:
+            parts.append(_show_char(lo) + _show_char(hi))
+        else:
+            parts.append(f"{_show_char(lo)}-{_show_char(hi)}")
+    return "[" + "".join(parts) + "]"
+
+
+_ESCAPES = {"\t": "\\t", "\n": "\\n", "\r": "\\r", "\f": "\\f", "\v": "\\v"}
+
+
+def _show_char(code):
+    """A code point as printed: itself when printable, otherwise the escape
+    `re` reads back as it ('\\x00', '\\ud800', '\\U000e0001')."""
+    c = chr(code)
+    return _ESCAPES.get(c) or (c if c.isprintable() else ascii(c)[1:-1])
+
+
+@lru_cache(maxsize=None)
+def _category(pattern) -> tuple:
+    """The code points the host engine's class `pattern` matches.  Read once
+    per process, a chunk of code points at a time, so that no string of the
+    whole universe is ever built."""
+    runs = re.compile(f"{pattern}+")
+    ranges = []
+    for base in range(0, MAX_CODE + 1, 1 << 14):
+        codes = array("I", range(base, min(base + (1 << 14), MAX_CODE + 1)))
+        chunk = codes.tobytes().decode(_NATIVE_UTF32, "surrogatepass")
+        ranges.extend((base + m.start(), base + m.end() - 1) for m in runs.finditer(chunk))
+    return charset(ranges)
+
+
+def partition(classes) -> tuple:
+    """Refine character sets into the disjoint blocks covering their union,
+    ordered by lowest code point, and list for each class the indices of
+    the blocks it is the union of.  One sweep over the interval endpoints
+    groups the stretches of code points by the classes that contain them
+    (one bit per class)."""
+    classes = list(classes)
+    toggles = {}
+    for bit, cls in enumerate(classes):
+        flag = 1 << bit
+        for lo, hi in cls:
+            toggles[lo] = toggles.get(lo, 0) ^ flag
+            toggles[hi + 1] = toggles.get(hi + 1, 0) ^ flag
+    points = sorted(toggles)
+    blocks = {}  # the classes containing a stretch -> the stretches
+    inside = 0
+    for lo, nxt in zip(points, points[1:]):
+        inside ^= toggles[lo]
+        if inside:
+            blocks.setdefault(inside, []).append((lo, nxt - 1))
+    columns = [[] for _ in classes]
+    for i, inside in enumerate(blocks):
+        while inside:
+            low = inside & -inside
+            columns[low.bit_length() - 1].append(i)
+            inside ^= low
+    return tuple(tuple(block) for block in blocks.values()), columns
+
+
+def partition_classes(classes) -> tuple:
+    """The blocks of `partition`: every class is a union of them."""
+    return partition(classes)[0]
 
 
 class TokenKind(Enum):
@@ -67,7 +206,7 @@ class TokenKind(Enum):
 @dataclass(frozen=True)
 class Token:
     kind: TokenKind
-    chars: frozenset | None = None
+    chars: tuple | None = None  # a character set, for a symbol
 
     def __post_init__(self):
         if self.kind is TokenKind.SYMBOL and not self.chars:
@@ -96,38 +235,7 @@ _FORMAL_CHARS = {tok.kind: c for c, tok in _FORMAL_TOKENS.items()}
 
 
 def _formal_tokens(text) -> list[Token]:
-    return [_FORMAL_TOKENS.get(c) or Token(TokenKind.SYMBOL, frozenset(c)) for c in text]
-
-
-def format_charset(chars) -> str:
-    """Spell a character set as sorted ranges, e.g. '[0-9a-b]'.  A single
-    character is spelled bare unless it is a formal operator: '[&]'."""
-    codes = sorted(ord(c) for c in chars)
-    if len(codes) == 1 and chr(codes[0]) not in _FORMAL_TOKENS:
-        return chr(codes[0])
-    ranges = []
-    lo = hi = codes[0]
-    for c in codes[1:]:
-        if c == hi + 1:
-            hi = c
-        else:
-            ranges.append((lo, hi))
-            lo = hi = c
-    ranges.append((lo, hi))
-    parts = []
-    for lo, hi in ranges:
-        if lo == hi:
-            parts.append(_show_char(chr(lo)))
-        elif hi == lo + 1:
-            parts.append(_show_char(chr(lo)) + _show_char(chr(hi)))
-        else:
-            parts.append(f"{_show_char(chr(lo))}-{_show_char(chr(hi))}")
-    return "[" + "".join(parts) + "]"
-
-
-def _show_char(c):
-    special = {"\t": "\\t", "\n": "\\n", "\r": "\\r", "\f": "\\f", "\v": "\\v"}
-    return special.get(c, c)
+    return [_FORMAL_TOKENS.get(c) or Token(TokenKind.SYMBOL, charset_of(c)) for c in text]
 
 
 def token_str(tok: Token) -> str:
@@ -146,7 +254,7 @@ class RegexAst:
 
 @dataclass(frozen=True)
 class Sym(RegexAst):
-    chars: frozenset
+    chars: tuple  # a character set
 
 
 @dataclass(frozen=True)
@@ -174,28 +282,20 @@ class Star(RegexAst):
 EPS = Eps()
 
 
-def ast_charsets(ast: RegexAst) -> set[frozenset]:
-    """All character classes appearing in the tree."""
-    out = set()
+def ast_chars(ast: RegexAst) -> tuple:
+    """The character set of every character the expression can match."""
+    sets = []
     stack = [ast]
     while stack:
         node = stack.pop()
         if isinstance(node, Sym):
-            out.add(node.chars)
-        elif isinstance(node, Concat) or isinstance(node, Alt):
+            sets.append(node.chars)
+        elif isinstance(node, (Concat, Alt)):
             stack.append(node.left)
             stack.append(node.right)
         elif isinstance(node, Star):
             stack.append(node.inner)
-    return out
-
-
-def ast_chars(ast: RegexAst) -> frozenset:
-    """Union of every character the expression can match."""
-    result = set()
-    for cs in ast_charsets(ast):
-        result |= cs
-    return frozenset(result)
+    return charset_union(sets)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +353,9 @@ def _lower(items, stripped: list[str]) -> RegexAst:
 
 def _lower_item(op, av, stripped) -> RegexAst:
     if op is _sre.IN:
-        return Sym(_char_class(av))
+        return Sym(_char_class(tuple(av)))
     if op in (_sre.LITERAL, _sre.NOT_LITERAL, _sre.ANY):
-        return Sym(_char_class([(op, av)]))
+        return Sym(_char_class(((op, av),)))
     if op is _sre.BRANCH:
         return reduce(Alt, [_lower(branch, stripped) for branch in av[1]])
     if op is _sre.SUBPATTERN:
@@ -286,25 +386,29 @@ def _lower_item(op, av, stripped) -> RegexAst:
     raise UnsupportedFeature(f"{str(op).lower().replace('_', ' ')} is not supported")
 
 
-def _char_class(items) -> frozenset:
-    """The characters of sre set items; a leading NEGATE complements them."""
-    chars = set()
+@lru_cache(maxsize=4096)
+def _char_class(items) -> tuple:
+    """The character set of a tuple of sre set items; a leading NEGATE
+    complements it.  Memoized, so that a class repeated across rules is one
+    object and per-label work downstream is done once."""
+    ranges = []
     for op, av in items:
         if op is _sre.LITERAL:
-            chars.add(chr(av))
-        elif op is _sre.NOT_LITERAL:
-            chars |= UNIVERSE - {chr(av)}
-        elif op is _sre.ANY:
-            chars |= DOT
+            ranges.append((av, av))
         elif op is _sre.RANGE:
-            chars.update(map(chr, range(av[0], av[1] + 1)))
+            ranges.append(av)
+        elif op is _sre.NOT_LITERAL:
+            ranges.extend(charset_complement(((av, av),)))
+        elif op is _sre.ANY:
+            ranges.extend(charset_complement(((10, 10),)))  # all but '\n'
         elif op is _sre.CATEGORY:
-            chars |= _CATEGORIES[av]
+            ranges.extend(_category(_CATEGORIES[av]))
+    chars = charset(ranges)
     if items and items[0][0] is _sre.NEGATE:
-        chars = UNIVERSE - chars
+        chars = charset_complement(chars)
     if not chars:
         raise PatternSyntaxError("empty character class")
-    return frozenset(chars)
+    return chars
 
 
 def _repeat(ast, m, n):

@@ -8,6 +8,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
+from . import frontend
 from .errors import BoundExceeded
 from .frontend import Alt, Concat, Eps, RegexAst, Star, Sym
 
@@ -36,7 +37,8 @@ def ast_match(ast: RegexAst, s: str) -> bool:
         if key in memo:
             return memo[key]
         if isinstance(node, Sym):
-            result = frozenset({i + 1}) if i < len(s) and s[i] in node.chars else frozenset()
+            hit = i < len(s) and frontend.charset_contains(node.chars, s[i])
+            result = frozenset({i + 1}) if hit else frozenset()
         elif isinstance(node, Eps):
             result = frozenset({i})
         elif isinstance(node, Concat):
@@ -63,6 +65,16 @@ def ast_match(ast: RegexAst, s: str) -> bool:
         return result
 
     return len(s) in positions(ast, 0)
+
+
+def alphabet_of(*asts: RegexAst) -> str:
+    """Every character the expressions can match, in code-point order.  More
+    than MAX_ALPHABET of them raise BoundExceeded before any is listed."""
+    chars = frontend.charset_union(frontend.ast_chars(ast) for ast in asts)
+    size = frontend.charset_size(chars)
+    if size > MAX_ALPHABET:
+        raise BoundExceeded(f"alphabet size {size} exceeds {MAX_ALPHABET}")
+    return frontend.charset_chars(chars)
 
 
 def enumerate_language(ast: RegexAst, alphabet, max_len: int) -> LanguageSample:
@@ -110,15 +122,15 @@ def random_ast(rng: random.Random, max_depth: int = 4, alphabet: str = "abc",
     if max_depth <= 0:
         if rng.random() < 0.15:
             return Eps()
-        return Sym(frozenset(rng.choice(alphabet)))
+        return Sym(frontend.charset_of(rng.choice(alphabet)))
     kinds, probs = zip(*weights.items())
     kind = rng.choices(kinds, probs)[0]
     if kind == "symbol":
         # Occasionally a multi-character class to exercise partitions.
         if rng.random() < 0.25 and len(alphabet) > 1:
             size = rng.randint(2, len(alphabet))
-            return Sym(frozenset(rng.sample(alphabet, size)))
-        return Sym(frozenset(rng.choice(alphabet)))
+            return Sym(frontend.charset_of(rng.sample(alphabet, size)))
+        return Sym(frontend.charset_of(rng.choice(alphabet)))
     if kind == "epsilon":
         return Eps()
     if kind == "star":
@@ -131,10 +143,7 @@ def random_ast(rng: random.Random, max_depth: int = 4, alphabet: str = "abc",
 def render_pattern(ast: RegexAst) -> str:
     """Render an AST back into practical-dialect text (for pipeline tests)."""
     if isinstance(ast, Sym):
-        chars = sorted(ast.chars)
-        if len(chars) == 1:
-            return chars[0]
-        return "[" + "".join(chars) + "]"
+        return frontend.format_charset(ast.chars)
     if isinstance(ast, Eps):
         return "()"
     if isinstance(ast, Concat):

@@ -146,18 +146,18 @@ def _includes_in_group(ids, compiled):
     to the rules it includes.
 
     All rules of the group share one partition alphabet, so each rule's
-    completed DFA, its complement and its character set are built once and
-    reused across all of its pairs.
+    completed DFA, its complement and its characters (one bit per block) are
+    built once and reused across all of its pairs.
     """
     dfas = dict(zip(ids, automata.completed_dfas([compiled[i] for i in ids])))
-    chars = {i: compiled[i].nfa.chars() for i in ids}
+    chars = dict(zip(ids, automata.block_masks([compiled[i].nfa for i in ids])))
     includes = {}
     for r1 in ids:
         sup = automata.complement(dfas[r1])
         includes[r1] = []
         for r2 in ids:
             # The Σ gate is a necessary condition, cheaper than the product.
-            if r2 == r1 or not chars[r2] <= chars[r1]:
+            if r2 == r1 or chars[r2] & ~chars[r1]:
                 continue
             if automata.inclusion(sup, dfas[r2]).included:
                 includes[r1].append(r2)

@@ -1,14 +1,28 @@
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rexincl import automata as am
 from rexincl import oracle as oc
 from rexincl.errors import AlphabetMismatch, IncompleteAutomaton
-from rexincl.frontend import parse, parse_postfix, postfix_to_ast, to_postfix
+from rexincl.frontend import (
+    charset_chars,
+    charset_min,
+    charset_of,
+    charset_size,
+    charset_subset,
+    charset_union,
+    parse,
+    parse_postfix,
+    postfix_to_ast,
+    to_postfix,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -19,6 +33,15 @@ def nfa_of(pattern):
 
 def ast_of(pattern):
     return postfix_to_ast(to_postfix(parse(pattern)))
+
+
+def sets(*texts):
+    return [charset_of(t) for t in texts]
+
+
+def reference(sup, cand):
+    """The unoptimized procedure on the pair's comparable DFAs."""
+    return am.inclusion_unoptimized(*am.completed_dfas([sup, cand]))
 
 
 def all_strings(alphabet, max_len):
@@ -78,19 +101,19 @@ class TestPowerset:
 
 class TestComplete:
     def test_adds_sink(self):
-        sigma = am.partition_classes([frozenset("a"), frozenset("b")])
+        sigma = am.partition_classes(sets("a", "b"))
         dfa = am.complete(am.powerset(nfa_of("ab"), sigma), sigma)
         assert dfa.complete and dfa.sink is not None
         assert dfa.sink not in dfa.accepting
 
     def test_idempotent(self):
-        sigma = am.partition_classes([frozenset("a"), frozenset("b")])
+        sigma = am.partition_classes(sets("a", "b"))
         once = am.complete(am.powerset(nfa_of("ab"), sigma), sigma)
         twice = am.complete(once, sigma)
         assert twice.n_states == once.n_states
 
     def test_language_unchanged(self):
-        sigma = am.partition_classes([frozenset("a"), frozenset("b"), frozenset("c")])
+        sigma = am.partition_classes(sets("a", "b", "c"))
         plain = am.powerset(nfa_of("a"), sigma)
         full = am.complete(plain, sigma)
         # Oracle-derived: enumerate strings length <= 2 over {a,b,c}.
@@ -100,7 +123,7 @@ class TestComplete:
     def test_alphabet_mismatch(self):
         dfa = am.powerset(nfa_of("ab"))
         with pytest.raises(AlphabetMismatch):
-            am.complete(dfa, am.partition_classes([frozenset("a")]))
+            am.complete(dfa, am.partition_classes(sets("a")))
 
 
 class TestComplement:
@@ -117,14 +140,14 @@ class TestComplement:
             assert comp.accepts(s) == (s == "")
 
     def test_involution(self):
-        sigma = am.partition_classes([frozenset("a"), frozenset("b")])
+        sigma = am.partition_classes(sets("a", "b"))
         dfa = am.complete(am.powerset(nfa_of("(ab|b)*"), sigma), sigma)
         back = am.complement(am.complement(dfa))
         for s in all_strings("ab", 6):
             assert back.accepts(s) == dfa.accepts(s)
 
     def test_sink_only_dfa(self):
-        sigma = am.partition_classes([frozenset("a"), frozenset("b")])
+        sigma = am.partition_classes(sets("a", "b"))
         # ab completed has a sink; complement of the all-rejecting part:
         dfa = am.complete(am.powerset(nfa_of("ab"), sigma), sigma)
         comp = am.complement(dfa)
@@ -177,7 +200,7 @@ class TestInclusion:
                  ("a?", "a"), ("a", "a?")]
         for sup, cand in pairs:
             a = am.check_inclusion(sup, cand)
-            b = am.check_inclusion(sup, cand, use_reference=True)
+            b = reference(am.compile_pattern(sup), am.compile_pattern(cand))
             assert a.included == b.included
 
     def test_transitivity_on_random_triples(self):
@@ -198,15 +221,23 @@ class TestInclusion:
 
 class TestPartition:
     def test_disjoint_cover(self):
-        classes = [frozenset("abc"), frozenset("bcd"), frozenset("a")]
+        classes = sets("abc", "bcd", "a")
         blocks = am.partition_classes(classes)
-        union = set()
-        for b in blocks:
-            assert not union & b
-            union |= b
-        assert union == set("abcd")
+        union = charset_union(blocks)
+        assert sum(map(charset_size, blocks)) == charset_size(union)  # disjoint
+        assert union == charset_of("abcd")
         for cls in classes:
-            assert cls == frozenset().union(*(b for b in blocks if b <= cls))
+            assert cls == charset_union(b for b in blocks if charset_subset(b, cls))
+        assert blocks == tuple(sets("a", "bc", "d"))  # ordered by lowest code point
+
+    def test_block_of_several_stretches(self):
+        # Code points are grouped by the classes that hold them, not by
+        # adjacency: '_', 'a' and 'z' are one block, the rest of \w another.
+        word = parse(r"\w").tokens[0].chars
+        rest, both = am.partition_classes([word, charset_of("_az")])
+        assert both == charset_of("_az")
+        assert charset_min(rest) == "0"
+        assert charset_union([rest, both]) == word
 
     def test_representation_equivalence(self):
         # Three spellings of the same three-letter language.
@@ -231,7 +262,7 @@ def test_differential_fuzz_seeded():
         sup = am.compile_pattern(oc.render_pattern(left))
         cand = am.compile_pattern(oc.render_pattern(right))
         opt = am.decide_inclusion(sup, cand)
-        ref = am.decide_inclusion(sup, cand, use_reference=True)
+        ref = reference(sup, cand)
         assert opt.included == ref.included
         assert opt.witness == ref.witness  # both shortest, found in one order
         if opt.included:
@@ -251,6 +282,39 @@ def test_pipeline_agrees_with_oracle_matcher():
         nfa = nfa_of(pattern)
         sigma = am.partition_classes(nfa.classes)
         dfa = am.complete(am.powerset(nfa, sigma), sigma) if sigma else am.powerset(nfa, sigma)
-        alphabet = sorted(nfa.chars())[:4] if len(nfa.chars()) > 4 else sorted(nfa.chars())
+        alphabet = charset_chars(nfa.chars())[:4]
         for s in all_strings(alphabet, 5):
             assert dfa.accepts(s) == oc.ast_match(ast, s), (pattern, s)
+
+
+# Rule pieces whose meaning differs between ASCII and Unicode, and strings
+# over characters that tell the readings apart.
+UNICODE_ATOMS = ["a", "1", "é", "٣", " ", "\u00a0", r"\w", r"\d", r"\s", ".",
+                 r"\W", r"\D", r"\S", "[^a]", "[^é1]"]
+UNICODE_SAMPLE = [
+    "".join(chars) for k in range(4) for chars in itertools.product("a1é٣ \u00a0\n_", repeat=k)
+]
+unicode_patterns = st.recursive(
+    st.sampled_from(UNICODE_ATOMS),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map("".join),
+        st.tuples(inner, inner).map(lambda p: f"(?:{p[0]}|{p[1]})"),
+        inner.map(lambda p: f"(?:{p})*"),
+        inner.map(lambda p: f"(?:{p})?"),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unicode_patterns, unicode_patterns)
+def test_verdicts_hold_in_the_engine_on_unicode(sup, cand):
+    """An inclusion holds on every sampled string under re.fullmatch; an
+    exclusion's witness separates the pair under re.fullmatch."""
+    verdict = am.check_inclusion(sup, cand)
+    if verdict.included:
+        for s in UNICODE_SAMPLE:
+            assert not re.fullmatch(cand, s) or re.fullmatch(sup, s), (sup, cand, s)
+    else:
+        w = verdict.witness
+        assert re.fullmatch(cand, w) and not re.fullmatch(sup, w), (sup, cand, w)

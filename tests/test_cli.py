@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -34,11 +35,6 @@ class TestCheck:
         assert doc["witness"] is None
         assert doc["superset_postfix"]
 
-    def test_unoptimized_flag(self, capsys):
-        code, out, _ = run(capsys, "check", "--json", "--unoptimized", "a", "a?")
-        assert code == 0
-        assert json.loads(out)["included"] is True
-
     def test_syntax_error_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "a{3,1}", "ab")
         assert code == 2
@@ -54,6 +50,27 @@ class TestCheck:
     def test_unknown_flag_exits_two(self, capsys):
         code, _, _ = run(capsys, "check", "--nope", "a", "b")
         assert code == 2
+
+    def test_unprintable_characters_print_as_escapes(self, capsys):
+        code, out, _ = run(capsys, "check", r"[\ud800]", "a")
+        assert code == 1
+        assert r"candidate normalized: \ud800" in out
+        code, out, _ = run(capsys, "check", r"a\x00", "a")
+        assert code == 1
+        assert r"candidate normalized: a&\x00" in out and "\x00" not in out
+
+    def test_unicode_classes_as_re_defines_them(self, capsys):
+        assert run(capsys, "check", "é", r"\D")[0] == 0
+        assert run(capsys, "check", "é", ".")[0] == 0
+        code, out, _ = run(capsys, "check", "--json", r"\w+ 1", "[a-zA-Z0-9_]+ 1")
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        assert re.fullmatch(r"\w+ 1", witness) and not re.fullmatch("[a-zA-Z0-9_]+ 1", witness)
+
+    def test_full_range_class_checks(self, capsys):
+        code, out, _ = run(capsys, "check", r"[\u0000-\U0010ffff]", "a")
+        assert code == 1
+        assert r"candidate normalized: [\x00-\U0010ffff]" in out
 
     def test_approximate_note(self, capsys):
         code, out, _ = run(capsys, "check", "^ab$", "[a-b](a|b)*")
@@ -245,6 +262,12 @@ class TestOracleVerify:
                            "--right", "ab", "--max-len", "3")
         assert code == 1
         assert json.loads(out)["included_up_to_bound"] is False
+
+    @pytest.mark.parametrize("left", [r"\w", r"[\u0000-\U0010ffff]"])
+    def test_large_alphabet_exits_two(self, capsys, left):
+        code, _, err = run(capsys, "oracle-verify", "--left", left, "--right", "a")
+        assert code == 2
+        assert "exceeds" in err
 
 
 def test_console_script_installed():

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -6,10 +7,9 @@ from hypothesis import strategies as st
 
 from rexincl.errors import MalformedExpression, PatternSyntaxError, UnsupportedFeature
 from rexincl.frontend import (
-    DIGIT,
-    SPACE,
-    WORD,
+    MAX_CODE,
     TokenKind,
+    charset_contains,
     parse,
     parse_formal,
     parse_postfix,
@@ -29,6 +29,21 @@ def lang(pattern, alphabet, max_len):
     return enumerate_language(ast, alphabet, max_len).accepted
 
 
+# ASCII and non-ASCII letters, digits, spaces and controls.
+MIXED = "a1 _\t\nAé٣\u00a0ª²\u2028-\x00\ud800\U0001d7ce"
+
+
+def members(pattern, sample=MIXED):
+    """The characters of `sample` in the character set of `pattern`, a
+    pattern of one symbol."""
+    chars = parse(pattern).tokens[0].chars
+    return [c for c in sample if charset_contains(chars, c)]
+
+
+def engine_members(pattern, sample=MIXED):
+    return [c for c in sample if re.fullmatch(pattern, c)]
+
+
 class TestParse:
     def test_implicit_concat(self):
         assert str(parse("ab")) == "a&b"
@@ -41,11 +56,11 @@ class TestParse:
         expr = parse(r"\d")
         assert len(expr.tokens) == 1
         assert expr.tokens[0].kind is TokenKind.SYMBOL
-        assert expr.tokens[0].chars == DIGIT
+        assert members(r"\d") == engine_members(r"\d") == ["1", "٣", "\U0001d7ce"]
 
     def test_word_space_classes(self):
-        assert parse(r"\w").tokens[0].chars == WORD
-        assert parse(r"\s").tokens[0].chars == SPACE
+        assert members(r"\w") == engine_members(r"\w")
+        assert members(r"\s") == engine_members(r"\s")
 
     def test_anchors_stripped(self):
         expr = parse("^abc$")
@@ -92,8 +107,16 @@ class TestParse:
         assert lang("ab*?", "ab", 3) == lang("ab*", "ab", 3)
 
     def test_negated_class(self):
-        chars = parse("[^a]").tokens[0].chars
-        assert "a" not in chars and "b" in chars and " " in chars
+        assert members("[^a]") == engine_members("[^a]") == list(MIXED.replace("a", ""))
+
+    def test_full_range_is_one_interval(self):
+        # Structural, so no per-character work can hide behind a fast machine.
+        assert parse(r"[\u0000-\U0010ffff]").tokens[0].chars == ((0, MAX_CODE),)
+        assert parse(r"[\s\S]").tokens[0].chars == ((0, MAX_CODE),)
+
+    def test_unprintable_characters_display_as_re_escapes(self):
+        assert str(parse(r"a\x00[\ud800]\U000e0001")) == r"a&\x00&\ud800&\U000e0001"
+        assert str(parse("[\t\n\r\f\v]&[ -~]é")) == r"[\t-\r]&[&]&[ -~]&é"
 
     def test_epsilon_literal_and_empty_group(self):
         assert lang("()", "a", 2) == {""}
@@ -166,24 +189,40 @@ class TestPostfixToAst:
 SUPPORTED = st.sampled_from([
     "ab", "a|b", "a*b", "(a|b)*", "a{2,3}", "[ab]c", "a?b+", "(ab|b)*a",
     "[a-b](a|b)*", "a(|b)c", "((a))", "a{1,}b?", "a&b", r"\x61b", "(?x) a b",
+    r"\w+", r"\d?\W", r"[^a]b*", r".\D", r"é|\s", r"[\w-]{2}",
 ])
 
 
-@settings(max_examples=40, deadline=None)
-@given(SUPPORTED)
-def test_roundtrip_language_preserved(pattern):
-    """postfix_to_ast(to_postfix(parse(p))) accepts exactly what a naive
-    reading of p accepts, checked by exhaustive enumeration."""
+@settings(max_examples=80, deadline=None)
+@given(SUPPORTED, st.sampled_from(["ab", "aé٣\u00a0"]))
+def test_roundtrip_language_preserved(pattern, alphabet):
+    """postfix_to_ast(to_postfix(parse(p))) accepts exactly what the host
+    engine accepts, checked by exhaustive enumeration over ASCII and
+    non-ASCII strings."""
     ast = postfix_to_ast(to_postfix(parse(pattern)))
     host = re.compile(pattern)
-    for s in enumerate_language(ast, "ab", 5).accepted:
-        assert host.fullmatch(s) is not None, (pattern, s)
-    sample = enumerate_language(ast, "ab", 5).accepted
-    import itertools
-    for k in range(6):
-        for combo in itertools.product("ab", repeat=k):
+    sample = enumerate_language(ast, alphabet, 4).accepted
+    for k in range(5):
+        for combo in itertools.product(alphabet, repeat=k):
             s = "".join(combo)
             assert (host.fullmatch(s) is not None) == (s in sample), (pattern, s)
+
+
+@pytest.mark.parametrize("pattern", [r"\d", r"\D", r"\w", r"\W", r"\s", r"\S", ".", "[^a]"])
+def test_class_agrees_with_engine_on_every_code_point(pattern):
+    """Each stretch of code points inside the class is matched character by
+    character by the engine, and no character of a gap is."""
+    chars = parse(pattern).tokens[0].chars
+    every = re.compile(f"(?:{pattern})*")
+    edges = [0] + [x for lo, hi in chars for x in (lo, hi + 1)] + [MAX_CODE + 1]
+    for k, (lo, end) in enumerate(zip(edges, edges[1:])):
+        inside = k % 2 == 1
+        for base in range(lo, end, 1 << 16):
+            text = "".join(map(chr, range(base, min(end, base + (1 << 16)))))
+            if inside:
+                assert every.fullmatch(text), (pattern, hex(base))
+            else:
+                assert re.search(pattern, text) is None, (pattern, hex(base))
 
 
 @pytest.mark.filterwarnings("ignore::FutureWarning", "ignore::DeprecationWarning")

@@ -6,6 +6,7 @@ import extract_fixture as efx
 import ruleset_fixture as fx
 from rexincl import automata as am
 from rexincl.errors import DuplicateId, FormatError
+from rexincl.extractor import Document, bench
 from rexincl.frontend import RawPattern
 from rexincl.reducer import (
     InclusionReport,
@@ -180,11 +181,21 @@ class TestComputeInclusions:
         expected = {
             sup.id: [cand.id for cand in rules
                      if cand.id != sup.id and cand.polarity == sup.polarity
-                     and am.decide_inclusion(compiled[sup.id], compiled[cand.id],
-                                             use_reference=True).included]
+                     and am.inclusion_unoptimized(*am.completed_dfas(
+                         [compiled[sup.id], compiled[cand.id]])).included]
             for sup in rules
         }
         assert compute_inclusions(rules).includes == expected
+
+    def test_unicode_word_class_keeps_the_wider_rule(self):
+        # `re`'s \w holds 'é', so "Café 1" is rejected by rule 1 alone: rule
+        # 0 is strictly inside rule 1, not equivalent to it.
+        rules = [neg(0, "[a-zA-Z0-9_]+ 1"), neg(1, r"\w+ 1")]
+        report = compute_inclusions(rules)
+        assert report.removed == {0}
+        assert report.equivalence_classes == []
+        corpus = [Document("d0", "Café 1 was.")]
+        bench(corpus, rules, reduce(report, rules), repeats=1)  # no OutcomeMismatch
 
     def test_to_json_is_valid_and_sorted(self):
         rules = [neg(0, "ab"), neg(1, "[a-b](a|b)*")]
