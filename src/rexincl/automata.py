@@ -132,22 +132,6 @@ class InclusionVerdict:
 # Alphabet partitioning
 # ---------------------------------------------------------------------------
 
-def block_masks(nfas) -> list[int]:
-    """Each NFA's characters as an int with one bit per block of the
-    partition of all their classes.  Blocks refine every class, so `a & ~b`
-    is zero exactly when every character of `a` is in `b`."""
-    labels = list({id(label): label for nfa in nfas for label in nfa.classes}.values())
-    _, columns = frontend.partition(labels)
-    bits = {id(label): sum(1 << i for i in cols) for label, cols in zip(labels, columns)}
-    masks = []
-    for nfa in nfas:
-        mask = 0
-        for label in nfa.classes:
-            mask |= bits[id(label)]
-        masks.append(mask)
-    return masks
-
-
 def pair_alphabet(a: Nfa, b: Nfa) -> tuple:
     """Partition alphabet of a compared pair of expressions."""
     return partition_classes(list(a.classes) + list(b.classes))
@@ -442,12 +426,27 @@ def compile_postfix(prog: PostfixProgram) -> CompiledPattern:
 
 def completed_dfas(patterns) -> list[Dfa]:
     """Completed DFAs of compiled patterns, in order, over one partition of
-    all their classes, so that any two of them can be compared.  The
+    all their classes, so that any two of them can be compared."""
+    return group_dfas(patterns)[0]
+
+
+def group_dfas(patterns) -> tuple[list[Dfa], list[int]]:
+    """`completed_dfas`, and each pattern's characters as an int with one
+    bit per block of the same partition.  Blocks refine every class, so
+    `a & ~b` is zero exactly when every character of `a` is in `b`.  The
     partition is built from the labels, so it gives their blocks too."""
     labels = list({id(c): c for p in patterns for c in p.nfa.classes}.values())
     sigma, columns = frontend.partition(labels)
     columns = dict(zip(map(id, labels), columns))
-    return [complete(_determinize(p.nfa, sigma, columns), sigma) for p in patterns]
+    bits = {key: sum(1 << i for i in cols) for key, cols in columns.items()}
+    dfas, masks = [], []
+    for p in patterns:
+        dfas.append(complete(_determinize(p.nfa, sigma, columns), sigma))
+        mask = 0
+        for label in p.nfa.classes:
+            mask |= bits[id(label)]
+        masks.append(mask)
+    return dfas, masks
 
 
 def decide_inclusion(superset: CompiledPattern, candidate: CompiledPattern) -> InclusionVerdict:

@@ -149,8 +149,8 @@ def _includes_in_group(ids, compiled):
     completed DFA, its complement and its characters (one bit per block) are
     built once and reused across all of its pairs.
     """
-    dfas = dict(zip(ids, automata.completed_dfas([compiled[i] for i in ids])))
-    chars = dict(zip(ids, automata.block_masks([compiled[i].nfa for i in ids])))
+    dfas, chars = automata.group_dfas([compiled[i] for i in ids])
+    dfas, chars = dict(zip(ids, dfas)), dict(zip(ids, chars))
     includes = {}
     for r1 in ids:
         sup = automata.complement(dfas[r1])

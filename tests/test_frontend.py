@@ -201,8 +201,9 @@ def test_roundtrip_language_preserved(pattern, alphabet):
     non-ASCII strings."""
     ast = postfix_to_ast(to_postfix(parse(pattern)))
     host = re.compile(pattern)
-    sample = enumerate_language(ast, alphabet, 4).accepted
-    for k in range(5):
+    n = 5 if alphabet == "ab" else 4
+    sample = enumerate_language(ast, alphabet, n).accepted
+    for k in range(n + 1):
         for combo in itertools.product(alphabet, repeat=k):
             s = "".join(combo)
             assert (host.fullmatch(s) is not None) == (s in sample), (pattern, s)
