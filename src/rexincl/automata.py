@@ -12,6 +12,7 @@ inside them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import frontend
 from .errors import AlphabetMismatch, IncompleteAutomaton, MalformedExpression
@@ -96,6 +97,33 @@ class Dfa:
     @property
     def n_states(self) -> int:
         return len(self.table)
+
+    @cached_property
+    def live(self) -> tuple:
+        """`live[q]` is true when some string leads from state q to an
+        accepting state; the sink is dead.  A reverse reachability sweep from
+        the accepting states, run once per DFA."""
+        preds = [[] for _ in self.table]
+        for q, row in enumerate(self.table):
+            for dst in set(row):
+                if dst >= 0:
+                    preds[dst].append(q)
+        live = set(self.accepting)
+        todo = list(live)
+        for q in todo:  # grows while it is walked
+            for p in preds[q]:
+                if p not in live:
+                    live.add(p)
+                    todo.append(p)
+        return tuple(q in live for q in range(self.n_states))
+
+    @cached_property
+    def live_steps(self) -> tuple:
+        """`live_steps[q]` holds (block index, successor) for every live
+        successor of state q, in block order; empty when q is dead."""
+        live = self.live
+        return tuple(tuple((i, dst) for i, dst in enumerate(row) if dst >= 0 and live[dst])
+                     for row in self.table)
 
     @property
     def transitions(self) -> dict:
@@ -333,10 +361,15 @@ def inclusion(superset_complement: Dfa, candidate: Dfa) -> InclusionVerdict:
     `inclusion_unoptimized`, so the path to the first one found replays into
     the same shortest witness: one representative character (lowest code
     point) per block.
+
+    Pairs whose candidate state is dead are never entered: no
+    doubly-accepting pair lies beyond them.  Every predecessor of a live
+    state is live, so each remaining pair is still first found through the
+    same parent, in the same order, and the witness does not change.
     """
     _require_comparable(superset_complement, candidate)
     sup_rows, sup_acc = superset_complement.table, superset_complement.accepting
-    cand_rows, cand_acc = candidate.table, candidate.accepting
+    cand_steps, cand_acc = candidate.live_steps, candidate.accepting
     start = (superset_complement.start, candidate.start)
     pred = {start: None}
     if start[0] in sup_acc and start[1] in cand_acc:
@@ -344,7 +377,9 @@ def inclusion(superset_complement: Dfa, candidate: Dfa) -> InclusionVerdict:
     queue = [start]
     for pair in queue:  # grows while it is walked
         p, q = pair
-        for i, nxt in enumerate(zip(sup_rows[p], cand_rows[q])):
+        sup_row = sup_rows[p]
+        for i, dst in cand_steps[q]:
+            nxt = (sup_row[i], dst)
             if nxt not in pred:
                 pred[nxt] = (pair, i)
                 if nxt[0] in sup_acc and nxt[1] in cand_acc:

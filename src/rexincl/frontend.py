@@ -121,17 +121,18 @@ def charset_chars(cs) -> str:
 
 def format_charset(chars) -> str:
     """Spell a character set as ranges, e.g. '[0-9a-b]'.  A single character
-    is spelled bare unless it is a formal operator: '[&]'."""
+    is spelled bare unless it is a formal operator: '[&]'.  Inside brackets,
+    the members that `re` reads as class syntax are escaped: '[\\-\\]]'."""
     if len(chars) == 1 and chars[0][0] == chars[0][1] and chr(chars[0][0]) not in _FORMAL_TOKENS:
         return _show_char(chars[0][0])
     parts = []
     for lo, hi in chars:
         if lo == hi:
-            parts.append(_show_char(lo))
+            parts.append(_show_member(lo))
         elif hi == lo + 1:
-            parts.append(_show_char(lo) + _show_char(hi))
+            parts.append(_show_member(lo) + _show_member(hi))
         else:
-            parts.append(f"{_show_char(lo)}-{_show_char(hi)}")
+            parts.append(f"{_show_member(lo)}-{_show_member(hi)}")
     return "[" + "".join(parts) + "]"
 
 
@@ -143,6 +144,13 @@ def _show_char(code):
     `re` reads back as it ('\\x00', '\\ud800', '\\U000e0001')."""
     c = chr(code)
     return _ESCAPES.get(c) or (c if c.isprintable() else ascii(c)[1:-1])
+
+
+def _show_member(code):
+    """`_show_char` for a member of a bracketed class: ']', '\\', '^' and '-'
+    get a backslash."""
+    c = chr(code)
+    return "\\" + c if c in "]\\^-" else _show_char(code)
 
 
 @lru_cache(maxsize=None)

@@ -147,21 +147,34 @@ def _includes_in_group(ids, compiled):
 
     All rules of the group share one partition alphabet, so each rule's
     completed DFA, its complement and its characters (one bit per block) are
-    built once and reused across all of its pairs.
+    built once and reused across all of its pairs.  Every verdict is an exact
+    language inclusion, so a pair that known verdicts already decide through
+    a third rule k is inferred instead of searched.
     """
     dfas, chars = automata.group_dfas([compiled[i] for i in ids])
-    dfas, chars = dict(zip(ids, dfas)), dict(zip(ids, chars))
-    includes = {}
-    for r1 in ids:
-        sup = automata.complement(dfas[r1])
-        includes[r1] = []
-        for r2 in ids:
+    n = len(ids)
+    # Bitsets over positions: bit j of inc[i] (and bit i of sup[j]) when
+    # i ⊇ j is known; ninc and nsup likewise when i ⊉ j is known.
+    inc, sup, ninc, nsup = ([0] * n for _ in range(4))
+    for i in range(n):
+        comp = automata.complement(dfas[i])
+        for j in range(n):
             # The Σ gate is a necessary condition, cheaper than the product.
-            if r2 == r1 or chars[r2] & ~chars[r1]:
+            if j == i or chars[j] & ~chars[i]:
                 continue
-            if automata.inclusion(sup, dfas[r2]).included:
-                includes[r1].append(r2)
-    return includes
+            if inc[i] & sup[j]:  # i ⊇ k ⊇ j
+                included = True
+            elif sup[i] & nsup[j] or inc[j] & ninc[i]:  # k ⊇ i, k ⊉ j; or j ⊇ k, i ⊉ k
+                included = False
+            else:
+                included = automata.inclusion(comp, dfas[j]).included
+            if included:
+                inc[i] |= 1 << j
+                sup[j] |= 1 << i
+            else:
+                ninc[i] |= 1 << j
+                nsup[j] |= 1 << i
+    return {ids[i]: [ids[j] for j in range(n) if inc[i] >> j & 1] for i in range(n)}
 
 
 def compute_inclusions(rules, jobs: int = 1, strict: bool = False) -> InclusionReport:

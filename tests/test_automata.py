@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,28 @@ class TestComplement:
         # Oracle-derived: complement accepts everything except "ab".
         for s in all_strings("ab", 4):
             assert comp.accepts(s) == (s != "ab")
+
+
+class TestLiveStates:
+    # Over blocks a, b: 0 -a-> 1 -a-> 2 (accepting); 0 -b-> 3, a state that
+    # only reaches the sink 4.
+    SIGMA = am.partition_classes(sets("a", "b"))
+    DFA = am.Dfa(start=0, accepting=frozenset({2}), table=((1, 3), (2, 4), (4, 4), (4, 4), (4, 4)),
+                 alphabet=SIGMA, complete=True, sink=4)
+
+    def test_live_marks_accepting_state_and_its_ancestors(self):
+        assert self.DFA.live == (True, True, True, False, False)
+        assert self.DFA.live_steps == (((0, 1),), ((0, 2),), (), (), ())
+
+    def test_dead_start_is_included(self):
+        dead = replace(self.DFA, start=3)
+        sup = am.complement(am.complete(am.powerset(nfa_of("b"), self.SIGMA), self.SIGMA))
+        assert am.inclusion(sup, dead).included
+
+    def test_same_witness_as_reference(self):
+        for pattern in ("b", "a", "ab", "(a|b)*"):
+            sup = am.complete(am.powerset(nfa_of(pattern), self.SIGMA), self.SIGMA)
+            assert am.inclusion(am.complement(sup), self.DFA) == am.inclusion_unoptimized(sup, self.DFA)
 
 
 class TestInclusion:

@@ -9,7 +9,10 @@ from rexincl.errors import MalformedExpression, PatternSyntaxError, UnsupportedF
 from rexincl.frontend import (
     MAX_CODE,
     TokenKind,
+    charset,
     charset_contains,
+    charset_of,
+    format_charset,
     parse,
     parse_formal,
     parse_postfix,
@@ -117,6 +120,24 @@ class TestParse:
     def test_unprintable_characters_display_as_re_escapes(self):
         assert str(parse(r"a\x00[\ud800]\U000e0001")) == r"a&\x00&\ud800&\U000e0001"
         assert str(parse("[\t\n\r\f\v]&[ -~]é")) == r"[\t-\r]&[&]&[ -~]&é"
+
+    @pytest.mark.parametrize("special", "]\\^-")
+    def test_class_display_reads_back_in_re(self, special):
+        # Members that re reads as class syntax: ']' closes, '\\' escapes,
+        # a leading '^' negates and '-' spans a range.
+        code = ord(special)
+        classes = [charset_of(special + "a"), charset_of("^!" + special),
+                   charset_of(special + "-"), charset([(ord("!"), code)]),
+                   charset([(code, ord("z"))]), charset([(code, code + 1), (ord("a"), ord("a"))])]
+        sample = "]\\^-[a!z AZ_`" + chr(code + 1)
+        for chars in classes:
+            shown = format_charset(chars)
+            for c in sample:
+                assert (re.fullmatch(shown, c) is not None) == charset_contains(chars, c), (shown, c)
+
+    def test_escaped_class_members_display(self):
+        assert str(parse(r"[\]\-]")) == r"[\-\]]"
+        assert str(parse(r"[\^a]")) == r"[\^a]"
 
     def test_epsilon_literal_and_empty_group(self):
         assert lang("()", "a", 2) == {""}

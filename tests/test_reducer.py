@@ -1,13 +1,16 @@
 import json
+import random
+from pathlib import Path
 
 import pytest
 
 import extract_fixture as efx
 import ruleset_fixture as fx
 from rexincl import automata as am
+from rexincl import oracle as oc
 from rexincl.errors import DuplicateId, FormatError
 from rexincl.extractor import Document, bench
-from rexincl.frontend import RawPattern
+from rexincl.frontend import Alt, Concat, Eps, RawPattern, Star
 from rexincl.reducer import (
     InclusionReport,
     Rule,
@@ -19,9 +22,42 @@ from rexincl.reducer import (
     save_rules,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 def neg(rule_id, pattern):
     return Rule(id=rule_id, pattern=RawPattern(pattern), polarity="negative")
+
+
+def per_pair_reference(rules):
+    """Every rule mapped to the rules of its polarity that it includes, each
+    pair decided on its own by the reference procedure."""
+    compiled = {r.id: am.compile_pattern(r.pattern) for r in rules}
+    return {
+        sup.id: [cand.id for cand in rules
+                 if cand.id != sup.id and cand.polarity == sup.polarity
+                 and am.inclusion_unoptimized(*am.completed_dfas(
+                     [compiled[sup.id], compiled[cand.id]])).included]
+        for sup in rules
+    }
+
+
+def nested_group(rng, size):
+    """Random expressions over abc grown into chains (x ⊆ x|y ⊆ (x|y)|z ⊆
+    ((x|y)|z)*), diamonds (x under x|y and z|x, both under (x|y)|z) and
+    equal-language duplicates (x, x|x, x then ε), in shuffled order."""
+    asts = []
+    while len(asts) < size:
+        x, y, z = (oc.random_ast(rng, 3, "abc") for _ in range(3))
+        shape = rng.choice(["chain", "diamond", "duplicate"])
+        if shape == "chain":
+            asts += [x, Alt(x, y), Alt(Alt(x, y), z), Star(Alt(Alt(x, y), z))]
+        elif shape == "diamond":
+            asts += [x, Alt(x, y), Alt(z, x), Alt(Alt(x, y), z)]
+        else:
+            asts += [x, Alt(x, x), Concat(x, Eps())]
+    rng.shuffle(asts)
+    return [neg(i, oc.render_pattern(a)) for i, a in enumerate(asts[:size])]
 
 
 class TestRule:
@@ -177,15 +213,57 @@ class TestComputeInclusions:
     def test_matches_per_pair_reference(self, rules):
         # The shared per-group tables must give the relation that deciding
         # every pair on its own, with the reference procedure, gives.
-        compiled = {r.id: am.compile_pattern(r.pattern) for r in rules}
-        expected = {
-            sup.id: [cand.id for cand in rules
-                     if cand.id != sup.id and cand.polarity == sup.polarity
-                     and am.inclusion_unoptimized(*am.completed_dfas(
-                         [compiled[sup.id], compiled[cand.id]])).included]
-            for sup in rules
-        }
-        assert compute_inclusions(rules).includes == expected
+        assert compute_inclusions(rules).includes == per_pair_reference(rules)
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+    @pytest.mark.parametrize("name, rules", [("extract", efx.RULES), ("ruleset", fx.build_rules())],
+                             ids=["extract_fixture", "ruleset_fixture"])
+    def test_report_matches_golden(self, name, rules, strict):
+        # Reports written by an earlier reducer; any change to how pairs are
+        # decided must leave them byte for byte the same.
+        golden = FIXTURES / f"report_{name}{'_strict' if strict else ''}.json"
+        assert compute_inclusions(rules, strict=strict).to_json() + "\n" == golden.read_text()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_inferred_pairs_match_per_pair_reference(self, seed, monkeypatch):
+        # Deeply nested groups, where many pairs are decided by transitivity
+        # rather than searched, must still give the reference relation.
+        rules = nested_group(random.Random(seed), 24)
+        searches = []
+        inclusion = am.inclusion
+        monkeypatch.setattr(am, "inclusion", lambda *a: searches.append(a) or inclusion(*a))
+        report = compute_inclusions(rules)
+        assert report.skipped == {}
+        assert report.includes == per_pair_reference(rules)
+        _, chars = am.group_dfas([am.compile_pattern(r.pattern) for r in rules])
+        gated = sum(1 for i, a in enumerate(chars) for j, b in enumerate(chars)
+                    if i != j and not b & ~a)
+        assert len(searches) < gated
+
+    def test_each_inference_rule_fires(self, monkeypatch):
+        # Pairs are taken superset by superset, in id order.  The Σ gate
+        # leaves 9 of the 12 ordered pairs ("a" includes none of the others).
+        rules = [neg(0, "a"), neg(1, "a*b*"), neg(2, "[ab]*"), neg(3, "ab")]
+        dfas, searched = [], []
+        group_dfas, inclusion = am.group_dfas, am.inclusion
+
+        def recording_group_dfas(patterns):
+            built = group_dfas(patterns)
+            dfas[:] = built[0]
+            return built
+
+        def recording_inclusion(comp, cand):
+            searched.append((next(i for i, d in enumerate(dfas) if d.table is comp.table),
+                             next(i for i, d in enumerate(dfas) if d is cand)))
+            return inclusion(comp, cand)
+
+        monkeypatch.setattr(am, "group_dfas", recording_group_dfas)
+        monkeypatch.setattr(am, "inclusion", recording_inclusion)
+        report = compute_inclusions(rules)
+        assert report.includes == per_pair_reference(rules)
+        # Not searched: 2 ⊇ 3 from 2 ⊇ 1 ⊇ 3; 3 ⊉ 1 from 1 ⊇ 0 and 3 ⊉ 0;
+        # 3 ⊉ 2 from 1 ⊇ 3 and 1 ⊉ 2.
+        assert searched == [(1, 0), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0)]
 
     def test_unicode_word_class_keeps_the_wider_rule(self):
         # `re`'s \w holds 'é', so "Café 1" is rejected by rule 1 alone: rule
