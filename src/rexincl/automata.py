@@ -174,6 +174,9 @@ def thompson(prog: PostfixProgram) -> Nfa:
 
     Concatenation merges the first fragment's accept state with the second
     fragment's start state; alternation and star add two fresh states each.
+    A merge is recorded once and applied when the states are renumbered, and
+    each fragment's transition list is extended in place, so the
+    construction is linear in the program's length.
     """
     counter = [0]
 
@@ -181,6 +184,7 @@ def thompson(prog: PostfixProgram) -> Nfa:
         counter[0] += 1
         return counter[0] - 1
 
+    merged = {}  # a right fragment's start -> the left fragment's accept
     # fragment: (start, accept, transitions list)
     stack = []
     for tok in prog.tokens:
@@ -203,28 +207,32 @@ def thompson(prog: PostfixProgram) -> Nfa:
             s2, e2, t2 = stack.pop()
             s1, e1, t1 = stack.pop()
             # Merge e1 with s2 (Thompson concatenation without an ε edge).
-            t2 = [(e1 if a == s2 else a, lbl, e1 if b == s2 else b) for a, lbl, b in t2]
-            e2 = e1 if e2 == s2 else e2
-            stack.append((s1, e2, t1 + t2))
+            # Only a start that stops being one is merged, never an accept,
+            # so neither is merged already.
+            merged[s2] = e1
+            t1 += t2
+            stack.append((s1, e2, t1))
         elif kind is TokenKind.ALT:
             if len(stack) < 2:
                 raise MalformedExpression("binary operator underflow")
             s2, e2, t2 = stack.pop()
             s1, e1, t1 = stack.pop()
             s, e = fresh(), fresh()
-            trans = t1 + t2 + [(s, EPS_LABEL, s1), (s, EPS_LABEL, s2),
-                               (e1, EPS_LABEL, e), (e2, EPS_LABEL, e)]
-            stack.append((s, e, trans))
+            t1 += t2
+            t1 += [(s, EPS_LABEL, s1), (s, EPS_LABEL, s2),
+                   (e1, EPS_LABEL, e), (e2, EPS_LABEL, e)]
+            stack.append((s, e, t1))
         else:
             raise MalformedExpression("parenthesis in postfix program")
     if len(stack) != 1:
         raise MalformedExpression(f"postfix program leaves {len(stack)} values")
     start, accept, transitions = stack[0]
 
-    # Renumber to dense ids in first-use order.
+    # Apply the merges and renumber to dense ids in first-use order.
     ids = {}
 
     def rid(q):
+        q = merged.get(q, q)
         if q not in ids:
             ids[q] = len(ids)
         return ids[q]
@@ -361,6 +369,17 @@ def inclusion(superset_complement: Dfa, candidate: Dfa) -> InclusionVerdict:
     `inclusion_unoptimized`, so the path to the first one found replays into
     the same shortest witness: one representative character (lowest code
     point) per block.
+    """
+    found = _counterexample(superset_complement, candidate)
+    if found is None:
+        return InclusionVerdict(included=True)
+    return InclusionVerdict(included=False, witness=_witness_from(*found, candidate.alphabet))
+
+
+def _counterexample(superset_complement: Dfa, candidate: Dfa):
+    """The product search of `inclusion`: the map from each pair found to
+    (its parent, block index) and the first doubly-accepting pair, or None
+    when the candidate is included.
 
     Pairs whose candidate state is dead are never entered: no
     doubly-accepting pair lies beyond them.  Every predecessor of a live
@@ -373,7 +392,7 @@ def inclusion(superset_complement: Dfa, candidate: Dfa) -> InclusionVerdict:
     start = (superset_complement.start, candidate.start)
     pred = {start: None}
     if start[0] in sup_acc and start[1] in cand_acc:
-        return InclusionVerdict(included=False, witness="")
+        return pred, start
     queue = [start]
     for pair in queue:  # grows while it is walked
         p, q = pair
@@ -383,10 +402,9 @@ def inclusion(superset_complement: Dfa, candidate: Dfa) -> InclusionVerdict:
             if nxt not in pred:
                 pred[nxt] = (pair, i)
                 if nxt[0] in sup_acc and nxt[1] in cand_acc:
-                    witness = _witness_from(pred, nxt, candidate.alphabet)
-                    return InclusionVerdict(included=False, witness=witness)
+                    return pred, nxt
                 queue.append(nxt)
-    return InclusionVerdict(included=True)
+    return None
 
 
 def inclusion_unoptimized(a1: Dfa, a2: Dfa) -> InclusionVerdict:

@@ -34,8 +34,8 @@ except ImportError:  # Python 3.10
 
 EPSILON_CHAR = "ε"  # the empty string in the formal notation
 
-# Expanding X{m,n} into an alternation of powers is quadratic in n; refuse
-# bounds that would produce absurd token counts.
+# X{m,n} is lowered to n copies of X, and X{m,} to m + 1; refuse bounds that
+# would produce absurd token counts.
 MAX_REPEAT = 200
 
 
@@ -147,10 +147,10 @@ def _show_char(code):
 
 
 def _show_member(code):
-    """`_show_char` for a member of a bracketed class: ']', '\\', '^' and '-'
-    get a backslash."""
+    """`_show_char` for a member of a bracketed class: '[', ']', '\\', '^'
+    and '-' get a backslash."""
     c = chr(code)
-    return "\\" + c if c in "]\\^-" else _show_char(code)
+    return "\\" + c if c in "[]\\^-" else _show_char(code)
 
 
 @lru_cache(maxsize=None)
@@ -376,8 +376,7 @@ def _lower_item(op, av, stripped) -> RegexAst:
         n = None if n == _sre.MAXREPEAT else n
         if max(m, n or 0) > MAX_REPEAT:
             raise PatternSyntaxError(f"repetition bound {max(m, n or 0)} exceeds {MAX_REPEAT}")
-        inner = _lower(body, stripped)
-        return Alt(inner, EPS) if (m, n) == (0, 1) else _repeat(inner, m, n)
+        return _repeat(_lower(body, stripped), m, n)
     if op is _sre.AT:
         stripped.append("anchor")
         return EPS
@@ -420,21 +419,17 @@ def _char_class(items) -> tuple:
 
 
 def _repeat(ast, m, n):
-    def power(k):
-        out = EPS
-        for _ in range(k):
-            out = _concat(out, ast)
-        return out
-
+    """X{m,n} as X^m followed by n-m nested optionals, (X(X(X)?)?)? when
+    n-m = 3, so that its size is linear in n; X{m,} as X^m X*."""
+    out = EPS
+    for _ in range(m):
+        out = _concat(out, ast)
     if n is None:
-        return _concat(power(m), Star(ast))
-    choices = [power(k) for k in range(m, n + 1)]
-    if not choices:
-        return EPS
-    out = choices[0]
-    for c in choices[1:]:
-        out = Alt(out, c)
-    return out
+        return _concat(out, Star(ast))
+    tail = EPS
+    for _ in range(n - m):
+        tail = Alt(_concat(ast, tail), EPS)
+    return _concat(out, tail)
 
 
 def _concat(a, b):

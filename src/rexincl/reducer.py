@@ -167,7 +167,7 @@ def _includes_in_group(ids, compiled):
             elif sup[i] & nsup[j] or inc[j] & ninc[i]:  # k ⊇ i, k ⊉ j; or j ⊇ k, i ⊉ k
                 included = False
             else:
-                included = automata.inclusion(comp, dfas[j]).included
+                included = automata._counterexample(comp, dfas[j]) is None
             if included:
                 inc[i] |= 1 << j
                 sup[j] |= 1 << i

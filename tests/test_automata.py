@@ -72,6 +72,11 @@ class TestThompson:
         assert am.thompson(parse_postfix("a*")).n_states == 2 + 2
         assert am.thompson(parse_postfix("ab&")).n_states == 2 + 2 - 1
 
+    def test_bounded_repetition_is_linear(self):
+        # n copies of X, each with a constant overhead of states.
+        assert nfa_of(r"\d{1,200}").n_states <= 1000
+        assert nfa_of("(a{1,20}){1,20}").n_states <= 2000
+
 
 class TestPowerset:
     def test_agrees_with_nfa_simulation(self):

@@ -47,6 +47,25 @@ class TestCheck:
         assert code == 2
         assert "error:" in err
 
+    def test_nested_bounded_repeat_checks(self, capsys):
+        # Bounded repetition is linear in size, so this ends in a verdict.
+        code, out, err = run(capsys, "check", "(a{1,40}){1,40}", "a+")
+        assert code == 0
+        assert "included: True" in out and err == ""
+
+    def test_doubly_nested_bounded_repeat_exits_two(self, capsys):
+        code, _, err = run(capsys, "check", "((a|b){0,200}){0,200}", "a")
+        assert code == 2
+        assert "too deeply nested" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("pattern", [r"(x(\d{0,200})y){0,3}", "(a|(b|(c|(d|e)))){0,200}",
+                                         r"(\d{1,100}){1,3}"])
+    def test_deep_bounded_repeats_still_check(self, capsys, pattern):
+        # Each optional level is two AST levels deep; these stay within the
+        # default recursion limit.
+        code, _, err = run(capsys, "check", pattern, pattern)
+        assert code == 0 and err == ""
+
     def test_unknown_flag_exits_two(self, capsys):
         code, _, _ = run(capsys, "check", "--nope", "a", "b")
         assert code == 2

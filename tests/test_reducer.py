@@ -230,8 +230,9 @@ class TestComputeInclusions:
         # rather than searched, must still give the reference relation.
         rules = nested_group(random.Random(seed), 24)
         searches = []
-        inclusion = am.inclusion
-        monkeypatch.setattr(am, "inclusion", lambda *a: searches.append(a) or inclusion(*a))
+        counterexample = am._counterexample
+        monkeypatch.setattr(am, "_counterexample",
+                            lambda *a: searches.append(a) or counterexample(*a))
         report = compute_inclusions(rules)
         assert report.skipped == {}
         assert report.includes == per_pair_reference(rules)
@@ -245,25 +246,34 @@ class TestComputeInclusions:
         # leaves 9 of the 12 ordered pairs ("a" includes none of the others).
         rules = [neg(0, "a"), neg(1, "a*b*"), neg(2, "[ab]*"), neg(3, "ab")]
         dfas, searched = [], []
-        group_dfas, inclusion = am.group_dfas, am.inclusion
+        group_dfas, counterexample = am.group_dfas, am._counterexample
 
         def recording_group_dfas(patterns):
             built = group_dfas(patterns)
             dfas[:] = built[0]
             return built
 
-        def recording_inclusion(comp, cand):
+        def recording_search(comp, cand):
             searched.append((next(i for i, d in enumerate(dfas) if d.table is comp.table),
                              next(i for i, d in enumerate(dfas) if d is cand)))
-            return inclusion(comp, cand)
+            return counterexample(comp, cand)
 
         monkeypatch.setattr(am, "group_dfas", recording_group_dfas)
-        monkeypatch.setattr(am, "inclusion", recording_inclusion)
+        monkeypatch.setattr(am, "_counterexample", recording_search)
         report = compute_inclusions(rules)
         assert report.includes == per_pair_reference(rules)
         # Not searched: 2 ⊇ 3 from 2 ⊇ 1 ⊇ 3; 3 ⊉ 1 from 1 ⊇ 0 and 3 ⊉ 0;
         # 3 ⊉ 2 from 1 ⊇ 3 and 1 ⊉ 2.
         assert searched == [(1, 0), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0)]
+
+    def test_searches_spell_no_witness(self, monkeypatch):
+        # The reducer needs only whether a counterexample exists.
+        def no_witness(*args):
+            raise AssertionError("the reducer spelled a witness")
+
+        monkeypatch.setattr(am, "_witness_from", no_witness)
+        rules = [neg(0, "a"), neg(1, "a*b*"), neg(2, "[ab]*"), neg(3, "ab")]
+        assert compute_inclusions(rules).includes == {0: [], 1: [0, 3], 2: [0, 1, 3], 3: []}
 
     def test_unicode_word_class_keeps_the_wider_rule(self):
         # `re`'s \w holds 'é', so "Café 1" is rejected by rule 1 alone: rule
