@@ -48,37 +48,90 @@ class Nfa:
         return frontend.charset_union(self.classes)
 
     def accepts(self, s: str) -> bool:
-        """Direct NFA simulation; used for cross-checks, not production."""
-        eps = {i: set() for i in range(self.n_states)}
-        step = {i: [] for i in range(self.n_states)}
+        """Direct NFA simulation over closure masks; used for cross-checks,
+        not production."""
+        closures = _eps_closures(self)
+        step = [[] for _ in range(self.n_states)]
         for src, label, dst in self.transitions:
-            if label is EPS_LABEL:
-                eps[src].add(dst)
-            else:
-                step[src].append((label, dst))
-        current = _closure({self.start}, eps)
+            if label is not EPS_LABEL:
+                step[src].append((label, closures[dst]))
+        current = closures[self.start]
         for c in s:
-            nxt = set()
-            for q in current:
-                for label, dst in step[q]:
+            nxt = 0
+            for q in _members(current):
+                for label, target in step[q]:
                     if frontend.charset_contains(label, c):
-                        nxt.add(dst)
-            current = _closure(nxt, eps)
+                        nxt |= target
+            current = nxt
             if not current:
                 return False
-        return self.accept in current
+        return bool(current >> self.accept & 1)
 
 
-def _closure(states, eps):
-    out = set(states)
-    todo = list(states)
-    while todo:
-        q = todo.pop()
-        for r in eps[q]:
-            if r not in out:
-                out.add(r)
-                todo.append(r)
-    return out
+def _eps_closures(nfa: Nfa) -> list[int]:
+    """The ε-closure of every NFA state, as an int with bit r set for each
+    state r in it.
+
+    States on one ε-cycle (a star over a nullable body) share a closure, so
+    closures are computed per strongly connected component of the ε edges,
+    found by Tarjan's algorithm.  It finishes a component only after every
+    component the component reaches, so a closure is its component's states
+    ORed with the finished closures of their successors: one OR per ε edge.
+    """
+    n = nfa.n_states
+    eps = [[] for _ in range(n)]
+    for src, label, dst in nfa.transitions:
+        if label is EPS_LABEL:
+            eps[src].append(dst)
+    # A state without ε edges is its own closure; every other state gets its
+    # closure when its component is finished.
+    closures = [0 if out else 1 << q for q, out in enumerate(eps)]
+    depth = [-1] * n  # a state's position on `unfinished` when discovered
+    low = [0] * n  # the lowest such position reachable through unfinished states
+    unfinished = []  # discovered states whose component is not finished
+    for root in range(n):
+        if closures[root] or depth[root] >= 0:
+            continue
+        depth[root] = low[root] = 0
+        unfinished.append(root)
+        path = [(root, iter(eps[root]))]  # the depth-first path
+        while path:
+            q, successors = path[-1]
+            for r in successors:
+                if closures[r]:
+                    continue
+                if depth[r] < 0:
+                    depth[r] = low[r] = len(unfinished)
+                    unfinished.append(r)
+                    path.append((r, iter(eps[r])))
+                    break
+                low[q] = min(low[q], depth[r])
+            else:
+                path.pop()
+                d = depth[q]
+                if low[q] < d:
+                    p = path[-1][0]
+                    low[p] = min(low[p], low[q])
+                    continue
+                # q roots a component, which reaches only finished ones.
+                component = unfinished[d:]
+                del unfinished[d:]
+                mask = 0
+                for r in component:
+                    mask |= 1 << r
+                    for t in eps[r]:
+                        mask |= closures[t]  # 0 for the component's own states
+                for r in component:
+                    closures[r] = mask
+    return closures
+
+
+def _members(mask):
+    """The state ids whose bits are set in `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -265,39 +318,48 @@ def powerset(nfa: Nfa, alphabet: tuple | None = None) -> Dfa:
 
 
 def _determinize(nfa: Nfa, alphabet: tuple, columns: dict) -> Dfa:
-    """`powerset`, given id(label) -> the blocks each label is made of."""
-    eps = [[] for _ in range(nfa.n_states)]
-    step = [[] for _ in range(nfa.n_states)]  # (block index, dst)
-    for src, label, dst in nfa.transitions:
-        if label is EPS_LABEL:
-            eps[src].append(dst)
-        else:
-            step[src].extend((i, dst) for i in columns[id(label)])
+    """`powerset`, given id(label) -> the blocks each label is made of.
 
-    start_set = frozenset(_closure({nfa.start}, eps))
-    ids = {start_set: 0}
-    order = [start_set]
+    A DFA state is an int with one bit per NFA state.  A row ORs, per
+    label, the closures of the symbol targets of the members that have a
+    symbol transition, and gives each of the label's blocks that union;
+    rows are numbered breadth-first, and a row's new states in block order.
+    """
+    closures = _eps_closures(nfa)
+    labels = nfa.classes
+    label_index = {id(label): k for k, label in enumerate(labels)}
+    blocks = [columns[id(label)] for label in labels]
+    step = [[] for _ in range(nfa.n_states)]  # (label index, closure of dst)
+    stepping = 0  # the states with a symbol transition
+    for src, label, dst in nfa.transitions:
+        if label is not EPS_LABEL:
+            step[src].append((label_index[id(label)], closures[dst]))
+            stepping |= 1 << src
+
+    start = closures[nfa.start]
+    ids = {start: 0}
+    order = [start]
     table = []
     for current in order:  # grows while it is walked
-        by_block: dict = {}
-        for q in current:
-            for i, dst in step[q]:
-                by_block.setdefault(i, set()).add(dst)
-        row = [-1] * len(alphabet)
-        closures = {}  # blocks of one row often share their targets
-        for i in sorted(by_block):
-            targets = frozenset(by_block[i])
-            if targets not in closures:
-                closures[targets] = frozenset(_closure(targets, eps))
-            nxt = closures[targets]
-            if nxt not in ids:
+        reach = [0] * len(labels)
+        for q in _members(current & stepping):
+            for k, target in step[q]:
+                reach[k] |= target
+        targets = [0] * len(alphabet)  # per block; 0 where undefined
+        for k, mask in enumerate(reach):
+            if mask:
+                for i in blocks[k]:
+                    targets[i] |= mask
+        row = []
+        for nxt in targets:
+            if nxt and nxt not in ids:
                 ids[nxt] = len(order)
                 order.append(nxt)
-            row[i] = ids[nxt]
+            row.append(ids[nxt] if nxt else -1)
         table.append(tuple(row))
     return Dfa(
         start=0,
-        accepting=frozenset(i for i, s in enumerate(order) if nfa.accept in s),
+        accepting=frozenset(i for i, s in enumerate(order) if s >> nfa.accept & 1),
         table=tuple(table),
         alphabet=alphabet,
         complete=all(-1 not in row for row in table),

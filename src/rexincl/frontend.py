@@ -120,11 +120,22 @@ def charset_chars(cs) -> str:
 
 
 def format_charset(chars) -> str:
-    """Spell a character set as ranges, e.g. '[0-9a-b]'.  A single character
-    is spelled bare unless it is a formal operator: '[&]'.  Inside brackets,
-    the members that `re` reads as class syntax are escaped: '[\\-\\]]'."""
-    if len(chars) == 1 and chars[0][0] == chars[0][1] and chr(chars[0][0]) not in _FORMAL_TOKENS:
-        return _show_char(chars[0][0])
+    """Spell a character set as `re` reads it back.  A set `re` has a name
+    for is spelled by it: '\\d', '\\W', '.', and the empty set as
+    '[^\\x00-\\U0010ffff]'.  Any other set is spelled as ranges, e.g.
+    '[0-9a-b]'.  A single character is spelled bare unless it is a formal
+    operator or `re` syntax: '[&]', '[.]'.  Inside brackets, the members that
+    `re` reads as class syntax are escaped: '[\\-\\]]'."""
+    if not chars:
+        return r"[^\x00-\U0010ffff]"
+    if len(chars) == 1 and chars[0][0] == chars[0][1]:
+        c = chr(chars[0][0])
+        if c not in _RE_SYNTAX and c not in _FORMAL_TOKENS:
+            return _show_char(chars[0][0])
+    if len(chars) > 1:  # every named set has two intervals or more
+        name = _class_names().get(chars)
+        if name:
+            return name
     parts = []
     for lo, hi in chars:
         if lo == hi:
@@ -135,6 +146,10 @@ def format_charset(chars) -> str:
             parts.append(f"{_show_member(lo)}-{_show_member(hi)}")
     return "[" + "".join(parts) + "]"
 
+
+# What `re` reads as syntax outside a class; a single character among these,
+# or a formal operator, is spelled in brackets.
+_RE_SYNTAX = ".^$*+?{}[]\\|()"
 
 _ESCAPES = {"\t": "\\t", "\n": "\\n", "\r": "\\r", "\f": "\\f", "\v": "\\v"}
 
@@ -165,6 +180,18 @@ def _category(pattern) -> tuple:
         chunk = codes.tobytes().decode(_NATIVE_UTF32, "surrogatepass")
         ranges.extend((base + m.start(), base + m.end() - 1) for m in runs.finditer(chunk))
     return charset(ranges)
+
+
+@lru_cache(maxsize=None)
+def _class_names() -> dict:
+    """The sets `re` has a name for, mapped to the name: '.' and the
+    classes read off the host engine, with their negations."""
+    names = {charset_complement(((10, 10),)): "."}  # all but '\n'
+    for name in (r"\d", r"\w", r"\s"):
+        chars = _category(name)
+        names[chars] = name
+        names[charset_complement(chars)] = name.upper()
+    return names
 
 
 def partition(classes) -> tuple:
@@ -217,8 +244,8 @@ class Token:
     chars: tuple | None = None  # a character set, for a symbol
 
     def __post_init__(self):
-        if self.kind is TokenKind.SYMBOL and not self.chars:
-            raise ValueError("symbol token needs a non-empty character set")
+        if self.kind is TokenKind.SYMBOL and self.chars is None:
+            raise ValueError("symbol token needs a character set")
 
     def __str__(self):
         return token_str(self)
@@ -413,9 +440,7 @@ def _char_class(items) -> tuple:
     chars = charset(ranges)
     if items and items[0][0] is _sre.NEGATE:
         chars = charset_complement(chars)
-    if not chars:
-        raise PatternSyntaxError("empty character class")
-    return chars
+    return chars  # empty for a class like [^\x00-\U0010ffff], which matches nothing
 
 
 def _repeat(ast, m, n):
@@ -459,25 +484,37 @@ def _node_prec(node):
     return _PREC_ATOM
 
 
-def _emit_infix(node, need) -> list[Token]:
-    toks = _emit_raw(node)
+def _emit_infix(node, need, out):
+    """Append the node's infix tokens to `out`, parenthesized when it binds
+    looser than `need`.  With `_emit_raw` this spends two frames per AST
+    level, and `parse` refuses a tree too deep for the recursion limit: that
+    is what stops a pattern like ((a|b){0,200}){0,200}."""
     if _node_prec(node) < need:
-        return [TOK_LPAREN] + toks + [TOK_RPAREN]
-    return toks
+        out.append(TOK_LPAREN)
+        _emit_raw(node, out)
+        out.append(TOK_RPAREN)
+    else:
+        _emit_raw(node, out)
 
 
-def _emit_raw(node) -> list[Token]:
+def _emit_raw(node, out):
     if isinstance(node, Sym):
-        return [Token(TokenKind.SYMBOL, node.chars)]
-    if isinstance(node, Eps):
-        return [TOK_EPSILON]
-    if isinstance(node, Concat):
-        return _emit_infix(node.left, _PREC_CONCAT) + [TOK_CONCAT] + _emit_infix(node.right, _PREC_CONCAT)
-    if isinstance(node, Alt):
-        return _emit_infix(node.left, _PREC_ALT) + [TOK_ALT] + _emit_infix(node.right, _PREC_ALT)
-    if isinstance(node, Star):
-        return _emit_infix(node.inner, _PREC_STAR) + [TOK_STAR]
-    raise TypeError(f"unknown node {node!r}")
+        out.append(Token(TokenKind.SYMBOL, node.chars))
+    elif isinstance(node, Eps):
+        out.append(TOK_EPSILON)
+    elif isinstance(node, Concat):
+        _emit_infix(node.left, _PREC_CONCAT, out)
+        out.append(TOK_CONCAT)
+        _emit_infix(node.right, _PREC_CONCAT, out)
+    elif isinstance(node, Alt):
+        _emit_infix(node.left, _PREC_ALT, out)
+        out.append(TOK_ALT)
+        _emit_infix(node.right, _PREC_ALT, out)
+    elif isinstance(node, Star):
+        _emit_infix(node.inner, _PREC_STAR, out)
+        out.append(TOK_STAR)
+    else:
+        raise TypeError(f"unknown node {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +538,12 @@ def parse(raw: RawPattern | str) -> NormalizedExpr:
         tree = _host_parse(text)
         if tree.state.flags & ~_sre.SRE_FLAG_UNICODE:
             stripped.append("flag")
-        tokens = tuple(_emit_raw(_lower(tree, stripped)))
+        tokens = []
+        _emit_raw(_lower(tree, stripped), tokens)
     except RecursionError:
         raise PatternSyntaxError("pattern too long or too deeply nested") from None
     return NormalizedExpr(
-        tokens=tokens,
+        tokens=tuple(tokens),
         approximate=bool(stripped),
         stripped_features=tuple(stripped),
     )

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import random
@@ -21,11 +22,21 @@ from rexincl.frontend import (
     charset_union,
     parse,
     parse_postfix,
+    partition,
     postfix_to_ast,
     to_postfix,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def load_bench_gen():
+    """The benchmark's seeded rule and query generator, bench/gen.py."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).parent.parent / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def nfa_of(pattern):
@@ -103,6 +114,80 @@ class TestPowerset:
         for key in dfa.transitions:
             assert key not in seen
             seen.add(key)
+
+
+def reference_determinize(nfa, alphabet):
+    """Set-based subset construction: (table, accepting set).  Each target
+    set's ε-closure is searched from its members; DFA states are numbered
+    breadth-first, a row's new states in block order."""
+    blocks, columns = partition([*alphabet, *nfa.classes])
+    assert blocks == tuple(alphabet)
+    label_blocks = dict(zip(map(id, nfa.classes), columns[len(blocks):]))
+    eps = {q: set() for q in range(nfa.n_states)}
+    step = {q: [] for q in range(nfa.n_states)}
+    for src, label, dst in nfa.transitions:
+        if label is am.EPS_LABEL:
+            eps[src].add(dst)
+        else:
+            step[src].extend((i, dst) for i in label_blocks[id(label)])
+
+    def closure(states):
+        out, todo = set(states), list(states)
+        while todo:
+            for r in eps[todo.pop()] - out:
+                out.add(r)
+                todo.append(r)
+        return frozenset(out)
+
+    order = [closure({nfa.start})]
+    ids = {order[0]: 0}
+    table = []
+    for current in order:
+        by_block = {}
+        for q in current:
+            for i, dst in step[q]:
+                by_block.setdefault(i, set()).add(dst)
+        row = [-1] * len(alphabet)
+        for i in sorted(by_block):
+            nxt = closure(by_block[i])
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+            row[i] = ids[nxt]
+        table.append(tuple(row))
+    return tuple(table), frozenset(k for k, s in enumerate(order) if nfa.accept in s)
+
+
+def pattern_groups():
+    """Groups of patterns that share a partition: the bench rule sets by
+    polarity, the bench's repetition ladder and oracle patterns by pair, and
+    ε-cycle patterns alone."""
+    gen = load_bench_gen()
+    for seed in (1, 2):
+        specs = [s.to_obj() for s in gen.rule_set(random.Random(f"{seed}-rules"), 30)]
+        for polarity in ("positive", "negative"):
+            yield [s["pattern"] for s in specs if s["polarity"] == polarity]
+    for q in gen.check_batch(random.Random(1), 240, 0.1, 200):
+        if not q["kind"].startswith("apa"):
+            yield [q["superset"], q["candidate"]]
+    rng = random.Random(11)
+    for _ in range(150):
+        yield [oc.render_pattern(oc.random_ast(rng, 4, "abc")) for _ in range(2)]
+    for pattern in ("(a*)*b", "((a|)*)*", "(a?|b*)*c", "((((a*)*)*)*)*", "(a*b*|c)*",
+                    "((a*)?){0,30}", "(((a?)*b?){0,5})*"):
+        yield [pattern]
+
+
+def test_determinize_matches_set_based_reference():
+    groups = 0
+    for patterns in pattern_groups():
+        nfas = [nfa_of(p) for p in patterns]
+        sigma = am.partition_classes([c for nfa in nfas for c in nfa.classes])
+        for pattern, nfa in zip(patterns, nfas):
+            dfa = am.powerset(nfa, sigma)
+            assert (dfa.table, dfa.accepting) == reference_determinize(nfa, sigma), pattern
+        groups += 1
+    assert groups > 180
 
 
 class TestComplete:

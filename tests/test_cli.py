@@ -91,6 +91,21 @@ class TestCheck:
         assert code == 1
         assert r"candidate normalized: [\x00-\U0010ffff]" in out
 
+    def test_empty_class_is_included_in_everything(self, capsys):
+        empty = r"[^\x00-\U0010ffff]"
+        code, out, _ = run(capsys, "check", empty, "a")
+        assert code == 0
+        assert f"candidate normalized: {empty}" in out
+        code, out, _ = run(capsys, "check", "--json", "a", empty)
+        assert code == 1
+        assert json.loads(out)["witness"] == "a"
+
+    def test_named_class_prints_by_name(self, capsys):
+        code, out, _ = run(capsys, "check", r"\w", "a")
+        assert code == 1
+        assert "candidate normalized: \\w\n" in out
+        assert len(out) < 200
+
     def test_approximate_note(self, capsys):
         code, out, _ = run(capsys, "check", "^ab$", "[a-b](a|b)*")
         assert code == 0

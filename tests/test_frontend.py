@@ -152,6 +152,33 @@ class TestParse:
         assert str(parse(r"[\]\-]")) == r"[\-\]]"
         assert str(parse(r"[\^a]")) == r"[\^a]"
 
+    @pytest.mark.parametrize("pattern, shown", [
+        (r"\d", r"\d"), (r"[^\d]", r"\D"), (r"\w", r"\w"), (r"[^\w]", r"\W"),
+        (r"\s", r"\s"), (r"\S", r"\S"), (".", "."), (r"[^\n]", "."),
+        (r"[^\x00-\U0010ffff]", r"[^\x00-\U0010ffff]"), (r"\.", "[.]"), (r"\^", r"[\^]"),
+        (r"\$", "[$]"), (r"\+", "[+]"), (r"\\", r"[\\]"), (r"\[", r"[\[]"),
+    ])
+    def test_display_reads_back_in_re(self, pattern, shown):
+        # A set re names is shown by its name, and a single character that re
+        # reads as syntax in brackets; each display is re text for the set.
+        chars = parse(pattern).tokens[0].chars
+        assert format_charset(chars) == shown
+        assert parse(shown).tokens[0].chars == chars
+        sample = MIXED + ".^$+\\[\u0660"
+        assert engine_members(shown, sample) == members(pattern, sample)
+
+    def test_named_display_is_short(self):
+        # The interval spelling of \w runs to kilobytes.
+        assert str(parse(r"\w+\s?\D")) == r"\w&\w*&(\s|ε)&\D"
+
+    def test_empty_class_is_the_empty_language(self):
+        # re accepts a class that matches nothing; it is a symbol with no
+        # characters, so neither it nor a string through it matches.
+        assert parse(r"[^\x00-\U0010ffff]").tokens[0].chars == ()
+        assert parse(r"[^\s\S]").tokens[0].chars == ()
+        assert lang(r"a[^\s\S]|b", "ab", 3) == {"b"}
+        assert lang(r"[^\s\S]*", "ab", 2) == {""}
+
     def test_epsilon_literal_and_empty_group(self):
         assert lang("()", "a", 2) == {""}
         assert lang("a(|b)", "ab", 3) == {"a", "ab"}

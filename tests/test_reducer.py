@@ -195,6 +195,14 @@ class TestComputeInclusions:
         assert report.includes == {0: [], 1: []}
         assert report.removed == set()
 
+    def test_empty_class_rule_is_removed(self):
+        # Every rule includes the empty language, so the rule is dead.
+        rules = [neg(0, "a+"), neg(1, r"[^\x00-\U0010ffff]"), neg(2, "b")]
+        report = compute_inclusions(rules)
+        assert report.skipped == {}
+        assert report.removed == {1}
+        assert report.includes == {0: [1], 1: [], 2: [1]}
+
     def test_unsupported_rule_skipped(self):
         rules = [neg(0, "ab"), neg(1, r"(a)\1"), neg(2, "[a-b](a|b)*")]
         report = compute_inclusions(rules)
