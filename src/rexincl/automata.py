@@ -36,12 +36,13 @@ class Nfa:
     accept: int
     transitions: tuple  # (src, label, dst); label is a character set or EPS_LABEL
 
-    @property
-    def classes(self) -> list:
+    @cached_property
+    def classes(self) -> tuple:
         """The distinct labels, told apart by identity so that no label is
-        hashed; `frontend.parse` gives a repeated class as one object."""
+        hashed; `frontend.parse` gives a repeated class as one object.
+        Built once per NFA."""
         labels = {id(label): label for _, label, _ in self.transitions if label is not EPS_LABEL}
-        return list(labels.values())
+        return tuple(labels.values())
 
     def chars(self):
         """The character set of every character the NFA can match."""
@@ -231,30 +232,29 @@ def thompson(prog: PostfixProgram) -> Nfa:
     each fragment's transition list is extended in place, so the
     construction is linear in the program's length.
     """
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return counter[0] - 1
-
+    symbol, epsilon, star = TokenKind.SYMBOL, TokenKind.EPSILON, TokenKind.STAR
+    concat, alt = TokenKind.CONCAT, TokenKind.ALT
+    n = 0  # states allocated so far; a fragment's new states are n and n + 1
     merged = {}  # a right fragment's start -> the left fragment's accept
     # fragment: (start, accept, transitions list)
     stack = []
     for tok in prog.tokens:
         kind = tok.kind
-        if kind is TokenKind.SYMBOL or kind is TokenKind.EPSILON:
-            s, e = fresh(), fresh()
-            label = tok.chars if kind is TokenKind.SYMBOL else EPS_LABEL
+        if kind is symbol or kind is epsilon:
+            s, e = n, n + 1
+            n += 2
+            label = tok.chars if kind is symbol else EPS_LABEL
             stack.append((s, e, [(s, label, e)]))
-        elif kind is TokenKind.STAR:
+        elif kind is star:
             if not stack:
                 raise MalformedExpression("star without operand")
             s1, e1, t1 = stack.pop()
-            s, e = fresh(), fresh()
+            s, e = n, n + 1
+            n += 2
             t1 += [(s, EPS_LABEL, s1), (s, EPS_LABEL, e),
                    (e1, EPS_LABEL, s1), (e1, EPS_LABEL, e)]
             stack.append((s, e, t1))
-        elif kind is TokenKind.CONCAT:
+        elif kind is concat:
             if len(stack) < 2:
                 raise MalformedExpression("binary operator underflow")
             s2, e2, t2 = stack.pop()
@@ -265,12 +265,13 @@ def thompson(prog: PostfixProgram) -> Nfa:
             merged[s2] = e1
             t1 += t2
             stack.append((s1, e2, t1))
-        elif kind is TokenKind.ALT:
+        elif kind is alt:
             if len(stack) < 2:
                 raise MalformedExpression("binary operator underflow")
             s2, e2, t2 = stack.pop()
             s1, e1, t1 = stack.pop()
-            s, e = fresh(), fresh()
+            s, e = n, n + 1
+            n += 2
             t1 += t2
             t1 += [(s, EPS_LABEL, s1), (s, EPS_LABEL, s2),
                    (e1, EPS_LABEL, e), (e2, EPS_LABEL, e)]
@@ -281,19 +282,17 @@ def thompson(prog: PostfixProgram) -> Nfa:
         raise MalformedExpression(f"postfix program leaves {len(stack)} values")
     start, accept, transitions = stack[0]
 
-    # Apply the merges and renumber to dense ids in first-use order.
-    ids = {}
-
-    def rid(q):
-        q = merged.get(q, q)
-        if q not in ids:
-            ids[q] = len(ids)
-        return ids[q]
-
-    rid(start)
-    renum = tuple((rid(a), lbl, rid(b)) for a, lbl, b in transitions)
-    rid(accept)
-    return Nfa(n_states=len(ids), start=ids[start], accept=ids[accept], transitions=renum)
+    # Apply the merges and renumber to dense ids in first-use order: the
+    # start first, then the transitions' ends as they come, then the accept.
+    # The whole NFA's start and accept are never merged away.  `number(q,
+    # len(ids))` gives q its id, a new one when q has none yet.
+    where = merged.get
+    ids = {start: 0}
+    number = ids.setdefault
+    renum = tuple((number(where(a, a), len(ids)), label, number(where(b, b), len(ids)))
+                  for a, label, b in transitions)
+    accept = number(accept, len(ids))
+    return Nfa(n_states=len(ids), start=0, accept=accept, transitions=renum)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +306,14 @@ def powerset(nfa: Nfa, alphabet: tuple | None = None) -> Dfa:
     `partition_classes` returns it; by default the NFA's own partition
     alphabet is used.
     """
-    if alphabet is None:
-        alphabet = partition_classes(nfa.classes)
-    # The alphabet refines the labels exactly when they refine it no further.
     labels = nfa.classes
-    blocks, columns = frontend.partition([*alphabet, *labels])
-    if blocks != tuple(alphabet):
-        raise AlphabetMismatch("alphabet does not refine NFA classes")
-    return _determinize(nfa, alphabet, dict(zip(map(id, labels), columns[len(blocks):])))
+    if alphabet is None:
+        alphabet, columns = frontend.partition(labels)
+    else:
+        columns = frontend.columns_of(alphabet, labels)
+        if columns is None:
+            raise AlphabetMismatch("alphabet does not refine NFA classes")
+    return _determinize(nfa, alphabet, dict(zip(map(id, labels), columns)))
 
 
 def _determinize(nfa: Nfa, alphabet: tuple, columns: dict) -> Dfa:
@@ -584,6 +583,13 @@ def check_inclusion(superset: str, candidate: str) -> InclusionVerdict:
 # GraphViz dumps
 # ---------------------------------------------------------------------------
 
+def _dot_string(text):
+    """`text` as a DOT quoted string that Graphviz shows as `text`: '"' and
+    '\\' get a backslash, so that a display like '\\n' or '\\N' is not read
+    as a Graphviz escape."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def nfa_to_dot(nfa: Nfa, name="nfa") -> str:
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  hidden [shape=none label=""];']
     for q in range(nfa.n_states):
@@ -592,7 +598,7 @@ def nfa_to_dot(nfa: Nfa, name="nfa") -> str:
     lines.append(f"  hidden -> {nfa.start};")
     for src, label, dst in nfa.transitions:
         text = "eps" if label is EPS_LABEL else frontend.format_charset(label)
-        lines.append(f'  {src} -> {dst} [label="{text}"];')
+        lines.append(f"  {src} -> {dst} [label={_dot_string(text)}];")
     lines.append("}")
     return "\n".join(lines)
 
@@ -604,6 +610,6 @@ def dfa_to_dot(dfa: Dfa, name="dfa") -> str:
         lines.append(f"  {q} [shape={shape}];")
     lines.append(f"  hidden -> {dfa.start};")
     for (src, block), dst in dfa.transitions.items():
-        lines.append(f'  {src} -> {dst} [label="{frontend.format_charset(block)}"];')
+        lines.append(f"  {src} -> {dst} [label={_dot_string(frontend.format_charset(block))}];")
     lines.append("}")
     return "\n".join(lines)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
@@ -221,6 +221,36 @@ def partition(classes) -> tuple:
             columns[low.bit_length() - 1].append(i)
             inside ^= low
     return tuple(tuple(block) for block in blocks.values()), columns
+
+
+def columns_of(blocks, classes):
+    """The `columns` of `partition` for classes over blocks already made:
+    for each class, the indices of the blocks it is the union of.  None
+    when the blocks overlap or some class is not a union of them.  Each
+    class interval is found among the blocks' intervals by bisection and
+    walked to its end, so no partition is rebuilt."""
+    pieces = sorted((lo, hi, i) for i, block in enumerate(blocks) for lo, hi in block)
+    if any(a[1] >= b[0] for a, b in zip(pieces, pieces[1:])):
+        return None
+    starts = [lo for lo, _, _ in pieces]
+    columns = []
+    for cls in classes:
+        covered = {}  # block index -> how many of its intervals the class holds
+        for lo, hi in cls:
+            k = bisect_left(starts, lo)
+            end = lo - 1
+            while end < hi:  # the next piece must start right after `end`
+                if k == len(pieces) or pieces[k][0] != end + 1:
+                    return None
+                _, end, i = pieces[k]
+                covered[i] = covered.get(i, 0) + 1
+                k += 1
+            if end != hi:
+                return None
+        if any(n != len(blocks[i]) for i, n in covered.items()):
+            return None
+        columns.append(sorted(covered))
+    return columns
 
 
 def partition_classes(classes) -> tuple:
@@ -569,7 +599,10 @@ def parse_formal(text: str) -> NormalizedExpr:
     return NormalizedExpr(tokens=tuple(tokens), approximate=False, stripped_features=())
 
 
-_PRECEDENCE = {TokenKind.STAR: 3, TokenKind.CONCAT: 2, TokenKind.ALT: 1}
+# The token kinds, bound once so that the per-token loops compare them by
+# identity without looking them up or hashing them.
+_SYMBOL, _EPSILON, _STAR = TokenKind.SYMBOL, TokenKind.EPSILON, TokenKind.STAR
+_CONCAT, _LPAREN, _RPAREN = TokenKind.CONCAT, TokenKind.LPAREN, TokenKind.RPAREN
 
 
 @dataclass(frozen=True)
@@ -585,65 +618,65 @@ class TraceRow:
 
 
 def _sya(tokens, trace: list[TraceRow] | None = None):
-    ops: list[Token] = []
+    # The operator stack holds (precedence, token) pairs, with * > & > |.  An
+    # opening parenthesis has precedence 0, so no operator pops past it.
+    ops: list[tuple[int, Token]] = []
     out: list[Token] = []
     unread = 0  # tokens[unread:] are still to be regarded
+    tracing = trace is not None
 
     def row(regarded, reason):
-        """Append a trace row when a trace was asked for.  `regarded` is a
-        token or None; `reason` may name it as {t} and the top operator as
-        {top}.  Nothing is formatted otherwise."""
-        if trace is None:
-            return
+        """Append a trace row.  `regarded` is a token or None; `reason` may
+        name it as {t} and the top operator as {top}.  Called only when a
+        trace was asked for."""
         t = token_str(regarded) if regarded is not None else "-"
-        top = token_str(ops[-1]) if ops else ""
+        top = token_str(ops[-1][1]) if ops else ""
         trace.append(TraceRow(
             remaining="".join(token_str(x) for x in tokens[unread:]) or "-",
             regarded=t,
-            op_stack="".join(token_str(x) for x in ops) or "-",
+            op_stack="".join(token_str(x) for _, x in ops) or "-",
             output_stack="".join(token_str(x) for x in out) or "-",
             reason=reason.format(t=t, top=top),
         ))
 
-    row(None, "-")
+    if tracing:
+        row(None, "-")
     for tok in tokens:
         unread += 1
         kind = tok.kind
-        if kind in (TokenKind.SYMBOL, TokenKind.EPSILON):
-            row(tok, "{t} ∈ Σ")
+        if kind is _SYMBOL or kind is _EPSILON:
+            if tracing:
+                row(tok, "{t} ∈ Σ")
             out.append(tok)
-        elif kind is TokenKind.LPAREN:
-            row(tok, "Opening (")
-            ops.append(tok)
-        elif kind is TokenKind.RPAREN:
-            while ops and ops[-1].kind is not TokenKind.LPAREN:
-                row(tok, "Closing )")
-                out.append(ops.pop())
+        elif kind is _LPAREN:
+            if tracing:
+                row(tok, "Opening (")
+            ops.append((0, tok))
+        elif kind is _RPAREN:
+            while ops and ops[-1][0]:
+                if tracing:
+                    row(tok, "Closing )")
+                out.append(ops.pop()[1])
             if not ops:
                 raise MalformedExpression("unbalanced parenthesis in token stream")
-            row(tok, "Closing )")
+            if tracing:
+                row(tok, "Closing )")
             ops.pop()
         else:
-            prec = _PRECEDENCE[kind]
-            popped = False
-            while (ops and ops[-1].kind is not TokenKind.LPAREN
-                   and _PRECEDENCE[ops[-1].kind] >= prec):
-                if not popped:
-                    row(tok, "op.")
-                    popped = True
-                out.append(ops.pop())
-            if not popped:
-                if ops and ops[-1].kind is not TokenKind.LPAREN:
-                    row(tok, "op., {t} > {top}")
-                else:
-                    row(tok, "op.")
-            ops.append(tok)
+            prec = 3 if kind is _STAR else 2 if kind is _CONCAT else 1
+            if tracing:  # one row, before any pop
+                row(tok, "op., {t} > {top}" if ops and 0 < ops[-1][0] < prec else "op.")
+            while ops and ops[-1][0] >= prec:
+                out.append(ops.pop()[1])
+            ops.append((prec, tok))
     while ops:
-        if ops[-1].kind is TokenKind.LPAREN:
+        if not ops[-1][0]:
             raise MalformedExpression("unbalanced parenthesis in token stream")
-        row(None, "Pop op.")
-        out.append(ops.pop())
-    row(None, "-")
+        if tracing:
+            row(None, "Pop op.")
+        out.append(ops.pop()[1])
+    if tracing:
+        row(None, "-")
     return out
 
 

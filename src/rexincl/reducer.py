@@ -131,13 +131,24 @@ def save_rules(rules, path):
 # ---------------------------------------------------------------------------
 
 def _compile_rules(rules):
+    """Each rule id mapped to its compiled pattern, or to the reason it is
+    skipped.  Each distinct pattern text is compiled once, and every rule
+    with that text shares the result."""
+    by_text = {}  # text -> CompiledPattern, or the reason it failed
     compiled = {}
     skipped = {}
     for rule in rules:
-        try:
-            compiled[rule.id] = automata.compile_pattern(rule.pattern)
-        except (PatternSyntaxError, UnsupportedFeature) as exc:
-            skipped[rule.id] = f"{type(exc).__name__}: {exc}"
+        text = rule.pattern.text
+        if text not in by_text:
+            try:
+                by_text[text] = automata.compile_pattern(rule.pattern)
+            except (PatternSyntaxError, UnsupportedFeature) as exc:
+                by_text[text] = f"{type(exc).__name__}: {exc}"
+        result = by_text[text]
+        if isinstance(result, str):
+            skipped[rule.id] = result
+        else:
+            compiled[rule.id] = result
     return compiled, skipped
 
 
@@ -145,23 +156,44 @@ def _includes_in_group(ids, compiled):
     """The pairwise procedure over one polarity group: every rule r1 mapped
     to the rules it includes.
 
-    All rules of the group share one partition alphabet, so each rule's
+    Rules that share a pattern text share one compiled pattern; they include
+    each other, and everything else is decided once per distinct pattern.
+    All patterns of the group share one partition alphabet, so each one's
     completed DFA, its complement and its characters (one bit per block) are
     built once and reused across all of its pairs.  Every verdict is an exact
     language inclusion, so a pair that known verdicts already decide through
-    a third rule k is inferred instead of searched.
+    a third pattern k is inferred instead of searched.
     """
-    dfas, chars = automata.group_dfas([compiled[i] for i in ids])
-    n = len(ids)
+    bits = automata._members  # the positions of a mask's set bits, lowest first
+    shared = {}  # id(pattern) -> (pattern, the ids of the rules that use it)
+    for rule_id in ids:
+        pattern = compiled[rule_id]
+        shared.setdefault(id(pattern), (pattern, []))[1].append(rule_id)
+    patterns = [pattern for pattern, _ in shared.values()]
+    members = [rule_ids for _, rule_ids in shared.values()]
+    dfas, chars = automata.group_dfas(patterns)
+    n = len(patterns)
+    # Bit j of users[b] when pattern j has a character in block b.  Pattern j
+    # passes the Σ gate under pattern i, a necessary condition cheaper than
+    # the product, when it uses no block outside i's characters.
+    users = [0] * len(dfas[0].alphabet)
+    for j, mask in enumerate(chars):
+        for b in bits(mask):
+            users[b] |= 1 << j
+    every_block = (1 << len(users)) - 1
+    everyone = (1 << n) - 1
     # Bitsets over positions: bit j of inc[i] (and bit i of sup[j]) when
     # i ⊇ j is known; ninc and nsup likewise when i ⊉ j is known.
     inc, sup, ninc, nsup = ([0] * n for _ in range(4))
     for i in range(n):
+        outside = 0
+        for b in bits(every_block & ~chars[i]):
+            outside |= users[b]
+        gated = everyone & ~outside & ~(1 << i)
+        if not gated:
+            continue
         comp = automata.complement(dfas[i])
-        for j in range(n):
-            # The Σ gate is a necessary condition, cheaper than the product.
-            if j == i or chars[j] & ~chars[i]:
-                continue
+        for j in bits(gated):
             if inc[i] & sup[j]:  # i ⊇ k ⊇ j
                 included = True
             elif sup[i] & nsup[j] or inc[j] & ninc[i]:  # k ⊇ i, k ⊉ j; or j ⊇ k, i ⊉ k
@@ -174,7 +206,12 @@ def _includes_in_group(ids, compiled):
             else:
                 ninc[i] |= 1 << j
                 nsup[j] |= 1 << i
-    return {ids[i]: [ids[j] for j in range(n) if inc[i] >> j & 1] for i in range(n)}
+    includes = {}
+    for i in range(n):
+        below = [rule_id for j in bits(inc[i]) for rule_id in members[j]]
+        for rule_id in members[i]:
+            includes[rule_id] = below + [r for r in members[i] if r != rule_id]
+    return includes
 
 
 def compute_inclusions(rules, jobs: int = 1, strict: bool = False) -> InclusionReport:

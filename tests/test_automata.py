@@ -1,4 +1,3 @@
-import importlib.util
 import itertools
 import json
 import random
@@ -10,16 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench_rules import load_bench_gen
 from rexincl import automata as am
 from rexincl import oracle as oc
 from rexincl.errors import AlphabetMismatch, IncompleteAutomaton
 from rexincl.frontend import (
+    charset,
     charset_chars,
     charset_min,
     charset_of,
     charset_size,
     charset_subset,
     charset_union,
+    columns_of,
     parse,
     parse_postfix,
     partition,
@@ -28,15 +30,6 @@ from rexincl.frontend import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def load_bench_gen():
-    """The benchmark's seeded rule and query generator, bench/gen.py."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_gen", Path(__file__).parent.parent / "bench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def nfa_of(pattern):
@@ -114,6 +107,35 @@ class TestPowerset:
         for key in dfa.transitions:
             assert key not in seen
             seen.add(key)
+
+    def test_alphabet_must_refine_labels(self):
+        nfa = nfa_of("[ab]c")
+        dfa = am.powerset(nfa, am.partition_classes(sets("a", "b", "c")))
+        assert [dfa.accepts(s) for s in ("ac", "bc", "ab", "c")] == [True, True, False, False]
+        for blocks in (sets("ab"),  # misses c
+                       sets("abc"),  # a block straddles [ab] and c
+                       sets("a", "bc"),  # b and c share a block
+                       sets("ab", "bc")):  # not disjoint
+            with pytest.raises(AlphabetMismatch):
+                am.powerset(nfa, tuple(blocks))
+
+    def test_columns_agree_with_partition(self):
+        # `columns_of` maps labels onto given blocks as a partition of the
+        # blocks and the labels lists them, and refuses where that partition
+        # would split or add a block.
+        rng = random.Random(3)
+
+        def some_class():
+            return charset((lo, lo + rng.randrange(4))
+                           for lo in (rng.randrange(30) for _ in range(rng.randrange(1, 4))))
+
+        for _ in range(2000):
+            labels = [some_class() for _ in range(rng.randrange(1, 3))]
+            base = [some_class() for _ in range(rng.randrange(1, 4))]
+            alphabet = partition(base + labels if rng.random() < 0.5 else base)[0]
+            blocks, columns = partition([*alphabet, *labels])
+            expected = columns[len(blocks):] if blocks == alphabet else None
+            assert columns_of(alphabet, labels) == expected, (alphabet, labels)
 
 
 def reference_determinize(nfa, alphabet):

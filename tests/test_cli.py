@@ -129,6 +129,18 @@ class TestExplain:
         assert len(doc["trace"]) == 10
 
 
+    @pytest.mark.parametrize("pattern, shown", [('a"', {"a", '"'}), (r"[\n]\w", {r"\n", r"\w"})])
+    def test_dot_labels_read_back(self, capsys, pattern, shown):
+        # Every label is one DOT quoted string, in which only '\"' and '\\'
+        # are escapes, so Graphviz reads no '\n' or '\N' of a display as its own.
+        _, out, _ = run(capsys, "explain", pattern)
+        labels = re.findall(r"label=(.*)\];$", out, re.M)
+        quoted = r'"((?:[^"\\]|\\["\\])*)"'
+        assert labels and all(re.fullmatch(quoted, label) for label in labels), labels
+        displays = {re.sub(r"\\(.)", r"\1", re.fullmatch(quoted, label)[1]) for label in labels}
+        assert displays == shown | {""}  # "" labels the start arrow's hidden node
+
+
 class TestReduce:
     def test_fixture_roundtrip(self, capsys, tmp_path):
         rules_path = tmp_path / "rules.jsonl"

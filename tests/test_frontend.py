@@ -226,6 +226,13 @@ class TestToPostfix:
         assert [r.regarded for r in trace] == ["-", "a", "-"]
         assert trace[-1].output_stack == "a"
 
+    def test_trace_reasons(self):
+        # An operator that pops one of equal or higher precedence, or meets an
+        # opening parenthesis, is "op."; one pushed over a lower one says so.
+        _, trace = shunting_yard_trace(parse_formal("a|b|c&d&(e|f)"))
+        assert [(r.regarded, r.reason) for r in trace if r.regarded in "&|"] == [
+            ("|", "op."), ("|", "op."), ("&", "op., & > |"), ("&", "op."), ("|", "op.")]
+
 
 class TestPostfixToAst:
     def test_simple(self):
