@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import frontend
-from .errors import AlphabetMismatch, IncompleteAutomaton, MalformedExpression
+from .errors import AlphabetMismatch, MalformedExpression
 from .frontend import (
     NormalizedExpr,
     PostfixProgram,
@@ -137,16 +137,15 @@ def _members(mask):
 
 @dataclass(frozen=True)
 class Dfa:
-    """DFA over a partition alphabet, as an integer table: `table[q][i]` is
-    the successor of state q on block `alphabet[i]`, or -1 where the
-    transition is undefined.  A complete DFA has no -1 entries."""
+    """Complete DFA over a partition alphabet, as an integer table:
+    `table[q][i]` is the successor of state q on block `alphabet[i]`.  In a
+    `powerset` DFA, a block on which no NFA state of q steps leads to the
+    state of the empty NFA-state set: the non-accepting, absorbing sink."""
 
     start: int
     accepting: frozenset
     table: tuple  # one row (a tuple of ints) per state
     alphabet: tuple  # disjoint blocks, sorted by lowest code point
-    complete: bool = False
-    sink: int | None = None
 
     @property
     def n_states(self) -> int:
@@ -160,8 +159,7 @@ class Dfa:
         preds = [[] for _ in self.table]
         for q, row in enumerate(self.table):
             for dst in set(row):
-                if dst >= 0:
-                    preds[dst].append(q)
+                preds[dst].append(q)
         live = set(self.accepting)
         todo = list(live)
         for q in todo:  # grows while it is walked
@@ -176,15 +174,15 @@ class Dfa:
         """`live_steps[q]` holds (block index, successor) for every live
         successor of state q, in block order; empty when q is dead."""
         live = self.live
-        return tuple(tuple((i, dst) for i, dst in enumerate(row) if dst >= 0 and live[dst])
+        return tuple(tuple((i, dst) for i, dst in enumerate(row) if live[dst])
                      for row in self.table)
 
     @property
     def transitions(self) -> dict:
-        """(state, block) -> state for every defined entry; for display."""
+        """(state, block) -> state for every entry; for display."""
         return {(q, block): dst
                 for q, row in enumerate(self.table)
-                for block, dst in zip(self.alphabet, row) if dst >= 0}
+                for block, dst in zip(self.alphabet, row)}
 
     def accepts(self, s: str) -> bool:
         column = {c: next((i for i, block in enumerate(self.alphabet)
@@ -195,8 +193,6 @@ class Dfa:
             if i is None:
                 return False
             state = self.table[state][i]
-            if state < 0:
-                return False
         return state in self.accepting
 
 
@@ -304,16 +300,15 @@ def powerset(nfa: Nfa, alphabet: tuple | None = None) -> Dfa:
 
     `alphabet` must be a partition refining the NFA's classes, as
     `partition_classes` returns it; by default the NFA's own partition
-    alphabet is used.
+    alphabet is used.  The alphabet refines the classes exactly when
+    partitioning it together with them gives it back unchanged.
     """
     labels = nfa.classes
-    if alphabet is None:
-        alphabet, columns = frontend.partition(labels)
-    else:
-        columns = frontend.columns_of(alphabet, labels)
-        if columns is None:
-            raise AlphabetMismatch("alphabet does not refine NFA classes")
-    return _determinize(nfa, alphabet, dict(zip(map(id, labels), columns)))
+    given = () if alphabet is None else tuple(alphabet)
+    blocks, columns = frontend.partition([*given, *labels])
+    if alphabet is not None and blocks != given:
+        raise AlphabetMismatch("alphabet does not refine NFA classes")
+    return _determinize(nfa, blocks, dict(zip(map(id, labels), columns[len(given):])))
 
 
 def _determinize(nfa: Nfa, alphabet: tuple, columns: dict) -> Dfa:
@@ -323,6 +318,8 @@ def _determinize(nfa: Nfa, alphabet: tuple, columns: dict) -> Dfa:
     label, the closures of the symbol targets of the members that have a
     symbol transition, and gives each of the label's blocks that union;
     rows are numbered breadth-first, and a row's new states in block order.
+    A block no member steps on leads to the empty set, numbered like any
+    other subset, so the table is complete and the empty set is its sink.
     """
     closures = _eps_closures(nfa)
     labels = nfa.classes
@@ -344,61 +341,39 @@ def _determinize(nfa: Nfa, alphabet: tuple, columns: dict) -> Dfa:
         for q in _members(current & stepping):
             for k, target in step[q]:
                 reach[k] |= target
-        targets = [0] * len(alphabet)  # per block; 0 where undefined
+        targets = [0] * len(alphabet)  # per block
         for k, mask in enumerate(reach):
             if mask:
                 for i in blocks[k]:
                     targets[i] |= mask
         row = []
         for nxt in targets:
-            if nxt and nxt not in ids:
+            if nxt not in ids:
                 ids[nxt] = len(order)
                 order.append(nxt)
-            row.append(ids[nxt] if nxt else -1)
+            row.append(ids[nxt])
         table.append(tuple(row))
     return Dfa(
         start=0,
         accepting=frozenset(i for i, s in enumerate(order) if s >> nfa.accept & 1),
         table=tuple(table),
         alphabet=alphabet,
-        complete=all(-1 not in row for row in table),
     )
 
 
 def complete(dfa: Dfa, sigma: tuple) -> Dfa:
-    """Make the transition function total over `sigma`, a partition as
-    `partition_classes` returns it, via a non-accepting sink row.
-    Idempotent when the DFA is already complete over sigma."""
-    sigma = tuple(sigma)
-    if dfa.alphabet == sigma:
-        table = dfa.table
-    else:
-        column = {block: i for i, block in enumerate(dfa.alphabet)}
-        if not column.keys() <= set(sigma):
-            raise AlphabetMismatch("completion alphabet misses symbols used by the DFA")
-        picks = [column.get(block) for block in sigma]
-        table = tuple(tuple(-1 if i is None else row[i] for i in picks) for row in dfa.table)
-    if all(-1 not in row for row in table):
-        return replace(dfa, table=table, alphabet=sigma, complete=True)
-    sink = len(table)
-    table = tuple(tuple(sink if dst < 0 else dst for dst in row) for row in table)
-    return Dfa(
-        start=dfa.start,
-        accepting=dfa.accepting,
-        table=table + ((sink,) * len(sigma),),
-        alphabet=sigma,
-        complete=True,
-        sink=sink,
-    )
+    """`dfa`, which `powerset` already built complete, once it is checked
+    to be over `sigma`, a partition as `partition_classes` returns it."""
+    if dfa.alphabet != tuple(sigma):
+        raise AlphabetMismatch("DFA is not over the completion alphabet")
+    return dfa
 
 
 def complement(dfa: Dfa) -> Dfa:
-    """Swap accepting and non-accepting states of a complete DFA.  The
-    complement shares the DFA's table."""
-    if not dfa.complete:
-        raise IncompleteAutomaton("complement requires a complete DFA")
+    """Swap accepting and non-accepting states.  The complement shares the
+    DFA's table."""
     accepting = frozenset(range(dfa.n_states)) - dfa.accepting
-    return replace(dfa, accepting=accepting, sink=None)
+    return replace(dfa, accepting=accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +383,6 @@ def complement(dfa: Dfa) -> Dfa:
 def _require_comparable(a: Dfa, b: Dfa):
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("DFAs are not over the same partition alphabet")
-    if not (a.complete and b.complete):
-        raise IncompleteAutomaton("inclusion requires complete DFAs")
 
 
 def _witness_from(pred, pair, alphabet):
@@ -539,7 +512,7 @@ def compile_postfix(prog: PostfixProgram) -> CompiledPattern:
 
 
 def completed_dfas(patterns) -> list[Dfa]:
-    """Completed DFAs of compiled patterns, in order, over one partition of
+    """Complete DFAs of compiled patterns, in order, over one partition of
     all their classes, so that any two of them can be compared."""
     return group_dfas(patterns)[0]
 
@@ -555,7 +528,7 @@ def group_dfas(patterns) -> tuple[list[Dfa], list[int]]:
     bits = {key: sum(1 << i for i in cols) for key, cols in columns.items()}
     dfas, masks = [], []
     for p in patterns:
-        dfas.append(complete(_determinize(p.nfa, sigma, columns), sigma))
+        dfas.append(_determinize(p.nfa, sigma, columns))
         mask = 0
         for label in p.nfa.classes:
             mask |= bits[id(label)]

@@ -35,6 +35,17 @@ def _env_int(name, default):
         return default
 
 
+def _positive_int(text):
+    """An argparse type: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rexincl",
@@ -66,14 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="text directory or JSONL file")
     p.add_argument("--out", required=True, help="corpus report (JSON)")
     p.add_argument("--results", help="per-sentence results stream (JSONL)")
-    p.add_argument("--sample", type=int)
+    p.add_argument("--sample", type=_positive_int)
     p.add_argument("--seed", type=int, default=_env_int("REXINCL_SEED", 0))
 
     p = sub.add_parser("bench", help="time full vs reduced rule sets on a corpus")
     p.add_argument("--rules", required=True)
     p.add_argument("--reduced", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_positive_int, default=5)
     p.add_argument("--out")
 
     p = sub.add_parser("oracle-verify", help="bounded-length inclusion check by enumeration")

@@ -22,10 +22,6 @@ class AlphabetMismatch(RexinclError):
     """An automaton uses symbols outside the alphabet it is being compared over."""
 
 
-class IncompleteAutomaton(RexinclError):
-    """Complement requires a complete DFA."""
-
-
 class FormatError(RexinclError):
     """A rule file line could not be parsed."""
 

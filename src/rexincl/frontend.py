@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
@@ -221,36 +221,6 @@ def partition(classes) -> tuple:
             columns[low.bit_length() - 1].append(i)
             inside ^= low
     return tuple(tuple(block) for block in blocks.values()), columns
-
-
-def columns_of(blocks, classes):
-    """The `columns` of `partition` for classes over blocks already made:
-    for each class, the indices of the blocks it is the union of.  None
-    when the blocks overlap or some class is not a union of them.  Each
-    class interval is found among the blocks' intervals by bisection and
-    walked to its end, so no partition is rebuilt."""
-    pieces = sorted((lo, hi, i) for i, block in enumerate(blocks) for lo, hi in block)
-    if any(a[1] >= b[0] for a, b in zip(pieces, pieces[1:])):
-        return None
-    starts = [lo for lo, _, _ in pieces]
-    columns = []
-    for cls in classes:
-        covered = {}  # block index -> how many of its intervals the class holds
-        for lo, hi in cls:
-            k = bisect_left(starts, lo)
-            end = lo - 1
-            while end < hi:  # the next piece must start right after `end`
-                if k == len(pieces) or pieces[k][0] != end + 1:
-                    return None
-                _, end, i = pieces[k]
-                covered[i] = covered.get(i, 0) + 1
-                k += 1
-            if end != hi:
-                return None
-        if any(n != len(blocks[i]) for i, n in covered.items()):
-            return None
-        columns.append(sorted(covered))
-    return columns
 
 
 def partition_classes(classes) -> tuple:
@@ -699,18 +669,16 @@ def _check_arity(tokens):
 
 
 def to_postfix(expr: NormalizedExpr) -> PostfixProgram:
-    """Shunting-yard conversion with precedence * > & > |."""
-    out = _sya(expr.tokens)
-    _check_arity(out)
-    return PostfixProgram(tokens=tuple(out))
+    """Shunting-yard conversion with precedence * > & > |.  `parse` and
+    `parse_formal` give well-formed infix, so the program is well formed;
+    only `parse_postfix`, which reads outside text, checks arity."""
+    return PostfixProgram(tokens=tuple(_sya(expr.tokens)))
 
 
 def shunting_yard_trace(expr: NormalizedExpr) -> tuple[PostfixProgram, list[TraceRow]]:
     """Like to_postfix, but also returns the per-step trace table."""
     trace: list[TraceRow] = []
-    out = _sya(expr.tokens, trace)
-    _check_arity(out)
-    return PostfixProgram(tokens=tuple(out)), trace
+    return PostfixProgram(tokens=tuple(_sya(expr.tokens, trace))), trace
 
 
 def postfix_to_ast(prog: PostfixProgram) -> RegexAst:

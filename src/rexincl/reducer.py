@@ -66,15 +66,19 @@ class InclusionReport:
 
 def read_jsonl(path, build):
     """`build(obj)` for every non-blank line of a UTF-8 JSON Lines file, in
-    order.  Invalid UTF-8 or JSON, and a KeyError, TypeError or ValueError
-    from `build`, raise FormatError with the line number."""
+    order.  Invalid UTF-8 or JSON, a line that is not a JSON object, and a
+    KeyError, TypeError or ValueError from `build`, raise FormatError with
+    the line number."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line = line.decode("utf-8").strip()
                 if not line:
                     continue
-                item = build(json.loads(line))
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise FormatError("not a JSON object", line=lineno)
+                item = build(obj)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"invalid JSON: {exc}", line=lineno) from exc
             except (KeyError, TypeError, ValueError) as exc:
@@ -159,7 +163,7 @@ def _includes_in_group(ids, compiled):
     Rules that share a pattern text share one compiled pattern; they include
     each other, and everything else is decided once per distinct pattern.
     All patterns of the group share one partition alphabet, so each one's
-    completed DFA, its complement and its characters (one bit per block) are
+    complete DFA, its complement and its characters (one bit per block) are
     built once and reused across all of its pairs.  Every verdict is an exact
     language inclusion, so a pair that known verdicts already decide through
     a third pattern k is inferred instead of searched.

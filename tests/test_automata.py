@@ -12,17 +12,17 @@ from hypothesis import strategies as st
 from bench_rules import load_bench_gen
 from rexincl import automata as am
 from rexincl import oracle as oc
-from rexincl.errors import AlphabetMismatch, IncompleteAutomaton
+from rexincl.errors import AlphabetMismatch, MalformedExpression
 from rexincl.frontend import (
-    charset,
+    PostfixProgram,
     charset_chars,
     charset_min,
     charset_of,
     charset_size,
     charset_subset,
     charset_union,
-    columns_of,
     parse,
+    parse_formal,
     parse_postfix,
     partition,
     postfix_to_ast,
@@ -59,6 +59,17 @@ class TestThompson:
     def test_worked_example_has_13_states(self):
         nfa = am.thompson(parse_postfix("ba|ab|*&"))
         assert nfa.n_states == 13
+
+    @pytest.mark.parametrize("tokens", [
+        parse_formal("a|b").tokens,  # infix: the operator underflows
+        parse_formal("(a)").tokens,  # a parenthesis
+        parse_postfix("ab&").tokens[:2],  # two values left
+        parse_postfix("a*").tokens[::-1],  # a star without operand
+    ], ids=["underflow", "parenthesis", "two_values", "bare_star"])
+    def test_malformed_program(self, tokens):
+        # `to_postfix` leaves arity to this stack evaluation.
+        with pytest.raises(MalformedExpression):
+            am.thompson(PostfixProgram(tokens=tuple(tokens)))
 
     def test_single_symbol(self):
         nfa = am.thompson(parse_postfix("a"))
@@ -119,29 +130,12 @@ class TestPowerset:
             with pytest.raises(AlphabetMismatch):
                 am.powerset(nfa, tuple(blocks))
 
-    def test_columns_agree_with_partition(self):
-        # `columns_of` maps labels onto given blocks as a partition of the
-        # blocks and the labels lists them, and refuses where that partition
-        # would split or add a block.
-        rng = random.Random(3)
-
-        def some_class():
-            return charset((lo, lo + rng.randrange(4))
-                           for lo in (rng.randrange(30) for _ in range(rng.randrange(1, 4))))
-
-        for _ in range(2000):
-            labels = [some_class() for _ in range(rng.randrange(1, 3))]
-            base = [some_class() for _ in range(rng.randrange(1, 4))]
-            alphabet = partition(base + labels if rng.random() < 0.5 else base)[0]
-            blocks, columns = partition([*alphabet, *labels])
-            expected = columns[len(blocks):] if blocks == alphabet else None
-            assert columns_of(alphabet, labels) == expected, (alphabet, labels)
-
 
 def reference_determinize(nfa, alphabet):
     """Set-based subset construction: (table, accepting set).  Each target
     set's ε-closure is searched from its members; DFA states are numbered
-    breadth-first, a row's new states in block order."""
+    breadth-first, a row's new states in block order.  The empty set is a
+    state like any other, so every row has an entry for every block."""
     blocks, columns = partition([*alphabet, *nfa.classes])
     assert blocks == tuple(alphabet)
     label_blocks = dict(zip(map(id, nfa.classes), columns[len(blocks):]))
@@ -169,13 +163,13 @@ def reference_determinize(nfa, alphabet):
         for q in current:
             for i, dst in step[q]:
                 by_block.setdefault(i, set()).add(dst)
-        row = [-1] * len(alphabet)
-        for i in sorted(by_block):
-            nxt = closure(by_block[i])
+        row = []
+        for i in range(len(alphabet)):
+            nxt = closure(by_block.get(i, ()))
             if nxt not in ids:
                 ids[nxt] = len(order)
                 order.append(nxt)
-            row[i] = ids[nxt]
+            row.append(ids[nxt])
         table.append(tuple(row))
     return tuple(table), frozenset(k for k, s in enumerate(order) if nfa.accept in s)
 
@@ -212,13 +206,29 @@ def test_determinize_matches_set_based_reference():
     assert groups > 180
 
 
-class TestComplete:
-    def test_adds_sink(self):
-        sigma = am.partition_classes(sets("a", "b"))
-        dfa = am.complete(am.powerset(nfa_of("ab"), sigma), sigma)
-        assert dfa.complete and dfa.sink is not None
-        assert dfa.sink not in dfa.accepting
+def test_powerset_is_complete_with_the_empty_set_as_sink():
+    # Over the bench rule groups' partitions, every row has an entry for
+    # every block.  Every nonempty subset of a Thompson NFA can reach its
+    # accept state, so the one dead state is the empty subset: non-accepting
+    # and absorbing, and there whenever the pattern misses a block.
+    gen = load_bench_gen()
+    for seed in (1, 2):
+        specs = [s.to_obj() for s in gen.rule_set(random.Random(f"{seed}-rules"), 30)]
+        for polarity in ("positive", "negative"):
+            nfas = [nfa_of(s["pattern"]) for s in specs if s["polarity"] == polarity]
+            sigma = am.partition_classes([c for nfa in nfas for c in nfa.classes])
+            for nfa in nfas:
+                dfa = am.powerset(nfa, sigma)
+                assert all(len(row) == len(sigma) and set(row) <= set(range(dfa.n_states))
+                           for row in dfa.table)
+                dead = [q for q in range(dfa.n_states) if not dfa.live[q]]
+                misses = any(not charset_subset(block, nfa.chars()) for block in sigma)
+                assert len(dead) == misses
+                for q in dead:
+                    assert q not in dfa.accepting and set(dfa.table[q]) == {q}
 
+
+class TestComplete:
     def test_idempotent(self):
         sigma = am.partition_classes(sets("a", "b"))
         once = am.complete(am.powerset(nfa_of("ab"), sigma), sigma)
@@ -240,10 +250,6 @@ class TestComplete:
 
 
 class TestComplement:
-    def test_requires_complete(self):
-        with pytest.raises(IncompleteAutomaton):
-            am.complement(am.powerset(nfa_of("ab")))
-
     def test_complement_of_nonempty_language(self):
         nfa = nfa_of("[a-b](a|b)*")
         sigma = am.partition_classes(nfa.classes)
@@ -274,7 +280,7 @@ class TestLiveStates:
     # only reaches the sink 4.
     SIGMA = am.partition_classes(sets("a", "b"))
     DFA = am.Dfa(start=0, accepting=frozenset({2}), table=((1, 3), (2, 4), (4, 4), (4, 4), (4, 4)),
-                 alphabet=SIGMA, complete=True, sink=4)
+                 alphabet=SIGMA)
 
     def test_live_marks_accepting_state_and_its_ancestors(self):
         assert self.DFA.live == (True, True, True, False, False)

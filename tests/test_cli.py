@@ -126,6 +126,7 @@ class TestExplain:
         assert code == 0
         assert doc["postfix"] == "[ab][&]&[ab]*&"
         assert doc["nfa_states"] == 6
+        assert doc["dfa_states"] == 5  # the complete DFA, sink included
         assert len(doc["trace"]) == 10
 
 
@@ -187,7 +188,8 @@ class TestReduce:
     @pytest.mark.parametrize("content", [
         b'{"id": 1, "pattern": 5, "polarity": "negative"}\n',
         b'\xff\xfe{"id": 1, "pattern": "a", "polarity": "negative"}\n',
-    ], ids=["non_string_pattern", "not_utf8"])
+        b'[1]\n',
+    ], ids=["non_string_pattern", "not_utf8", "not_an_object"])
     def test_bad_rule_line_exits_two(self, capsys, tmp_path, content):
         rules_path = tmp_path / "rules.jsonl"
         rules_path.write_bytes(content)
@@ -237,6 +239,14 @@ class TestExtract:
         assert len(out1.splitlines()) == 6  # 2 per statistic type
 
 
+    @pytest.mark.parametrize("sample", ["0", "-1", "two"])
+    def test_sample_must_be_positive(self, capsys, paths, sample):
+        rules_path, corpus_path, tmp_path = paths
+        code, _, err = run(capsys, "extract", "--rules", str(rules_path), "--corpus",
+                           str(corpus_path), "--out", str(tmp_path / "r.json"), "--sample", sample)
+        assert code == 2
+        assert "not a positive integer" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("corpus", [
         '{"doc_id": "d0", "text": "t = 2.1."}\n{oops\n',
         '{"doc_id": "d0", "text": "t = 2.1."}\n{"text": "t = 2.1."}\n',
@@ -280,13 +290,18 @@ class TestExtract:
 
 
 class TestBenchCmd:
-    def test_reports_means(self, capsys, tmp_path):
-        full_path = tmp_path / "full.jsonl"
-        save_rules(efx.RULES, full_path)
+    @pytest.fixture
+    def paths(self, tmp_path):
+        rules_path = tmp_path / "full.jsonl"
+        save_rules(efx.RULES, rules_path)
         corpus_path = tmp_path / "corpus.jsonl"
         with open(corpus_path, "w") as fh:
             for doc in efx.build_corpus():
                 fh.write(json.dumps({"doc_id": doc.doc_id, "text": doc.text}) + "\n")
+        return rules_path, corpus_path
+
+    def test_reports_means(self, capsys, paths):
+        full_path, corpus_path = paths
         code, out, _ = run(capsys, "bench", "--rules", str(full_path),
                            "--reduced", str(full_path), "--corpus", str(corpus_path),
                            "--repeats", "2")
@@ -294,6 +309,14 @@ class TestBenchCmd:
         doc = json.loads(out)
         assert doc["repeats"] == 2
         assert doc["full_mean_s"] > 0
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_repeats_must_be_positive(self, capsys, paths, repeats):
+        full_path, corpus_path = paths
+        code, _, err = run(capsys, "bench", "--rules", str(full_path), "--reduced",
+                           str(full_path), "--corpus", str(corpus_path), "--repeats", repeats)
+        assert code == 2
+        assert "not a positive integer" in err and "Traceback" not in err
 
 
 class TestOracleVerify:

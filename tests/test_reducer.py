@@ -10,7 +10,7 @@ from bench_rules import bench_rule_set
 from rexincl import automata as am
 from rexincl import oracle as oc
 from rexincl.errors import DuplicateId, FormatError
-from rexincl.extractor import Document, bench
+from rexincl.extractor import Document, bench, load_corpus
 from rexincl.frontend import Alt, Concat, Eps, RawPattern, Star
 from rexincl.reducer import (
     InclusionReport,
@@ -104,6 +104,15 @@ class TestLoadSave:
         with pytest.raises(FormatError) as exc:
             load_rules(path)
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize("line", ["[1]", "5", '"x"', "null"])
+    @pytest.mark.parametrize("load", [load_rules, load_corpus], ids=["rules", "corpus"])
+    def test_line_not_an_object_reports_line(self, tmp_path, load, line):
+        path = tmp_path / "in.jsonl"
+        path.write_text(f"\n{line}\n")
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert exc.value.line == 2
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "rules.jsonl"
