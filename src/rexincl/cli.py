@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 
 from . import automata, extractor, frontend, oracle, reducer
@@ -23,16 +22,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-def _env_int(name, default):
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        return default
 
 
 def _positive_int(text):
@@ -78,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="corpus report (JSON)")
     p.add_argument("--results", help="per-sentence results stream (JSONL)")
     p.add_argument("--sample", type=_positive_int)
-    p.add_argument("--seed", type=int, default=_env_int("REXINCL_SEED", 0))
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bench", help="time full vs reduced rule sets on a corpus")
     p.add_argument("--rules", required=True)

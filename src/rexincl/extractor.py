@@ -16,7 +16,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import FormatError, OutcomeMismatch
+from .errors import FormatError, OutcomeMismatch, PatternSyntaxError
+from .frontend import host_compile
 from .reducer import Rule, read_jsonl
 
 log = logging.getLogger(__name__)
@@ -110,17 +111,14 @@ class CompiledRuleSet:
     """Rules compiled for matching, split by polarity, id order preserved.
     Rules whose pattern the host engine rejects are logged and skipped."""
 
-    def __init__(self, rules, precedence: str = "positive-first"):
-        if precedence not in ("positive-first", "negative-first"):
-            raise ValueError(f"bad precedence {precedence!r}")
-        self.precedence = precedence
+    def __init__(self, rules):
         self.positive = []
         self.negative = []
         for rule in sorted(rules, key=lambda r: r.id):
             try:
-                rx = re.compile(rule.pattern.text)
-                subs = [(name, re.compile(p.text)) for name, p in rule.subrules]
-            except re.error as exc:
+                rx = host_compile(rule.pattern)
+                subs = [(name, host_compile(p)) for name, p in rule.subrules]
+            except PatternSyntaxError as exc:
                 log.warning("skipping rule %d: %s", rule.id, exc)
                 continue
             (self.positive if rule.polarity == "positive" else self.negative).append(
@@ -128,14 +126,10 @@ class CompiledRuleSet:
             )
 
 
-def classify(sentence: Sentence, rules: CompiledRuleSet | list) -> ExtractionResult:
-    """First-match-wins within a polarity, positive rules first by default."""
-    if not isinstance(rules, CompiledRuleSet):
-        rules = CompiledRuleSet(rules)
-    ordered = (rules.positive, rules.negative)
-    if rules.precedence == "negative-first":
-        ordered = (rules.negative, rules.positive)
-    for group in ordered:
+def classify(sentence: Sentence, rules: CompiledRuleSet) -> ExtractionResult:
+    """First match wins: every positive rule before any negative, id order
+    within each polarity.  The order is fixed."""
+    for group in (rules.positive, rules.negative):
         for rule, rx, subs in group:
             m = rx.search(sentence.text)
             if m is None:
@@ -161,12 +155,13 @@ def classify(sentence: Sentence, rules: CompiledRuleSet | list) -> ExtractionRes
     return ExtractionResult(sentence=sentence, outcome=UNMATCHED)
 
 
-def run_corpus(corpus, rules, precedence: str = "positive-first"):
-    """Classify every digit-bearing sentence of every document.
+def run_corpus(corpus, rules):
+    """Compile the rule list once and classify every digit-bearing sentence
+    of every document.
 
     Returns (CorpusReport, list of ExtractionResult in document order).
     """
-    compiled = rules if isinstance(rules, CompiledRuleSet) else CompiledRuleSet(rules, precedence)
+    compiled = CompiledRuleSet(rules)
     results = []
     for doc in corpus:
         try:
@@ -247,8 +242,7 @@ class BenchReport:
         }
 
 
-def bench(corpus, full_rules, reduced_rules, repeats: int = 5,
-          precedence: str = "positive-first") -> BenchReport:
+def bench(corpus, full_rules, reduced_rules, repeats: int = 5) -> BenchReport:
     """Wall-clock comparison of the full and reduced rule sets.
 
     Classification outcomes are asserted identical for every sentence first;
@@ -257,8 +251,8 @@ def bench(corpus, full_rules, reduced_rules, repeats: int = 5,
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    full = CompiledRuleSet(full_rules, precedence)
-    reduced = CompiledRuleSet(reduced_rules, precedence)
+    full = CompiledRuleSet(full_rules)
+    reduced = CompiledRuleSet(reduced_rules)
     sentences = [s for doc in corpus for s in split_sentences(doc)]
 
     for sentence in sentences:

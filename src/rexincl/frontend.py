@@ -378,6 +378,14 @@ def _host_parse(text):
         raise PatternSyntaxError(str(exc)) from None
 
 
+def host_compile(raw: RawPattern):
+    """The pattern compiled by re; one that re rejects raises PatternSyntaxError."""
+    try:
+        return re.compile(raw.text)
+    except (re.error, ValueError, OverflowError) as exc:
+        raise PatternSyntaxError(str(exc)) from None
+
+
 def _lower(items, stripped: list[str]) -> RegexAst:
     """The formal AST of a sequence of sre parse-tree items."""
     ast = EPS
@@ -650,28 +658,10 @@ def _sya(tokens, trace: list[TraceRow] | None = None):
     return out
 
 
-def _check_arity(tokens):
-    depth = 0
-    for tok in tokens:
-        if tok.kind in (TokenKind.SYMBOL, TokenKind.EPSILON):
-            depth += 1
-        elif tok.kind is TokenKind.STAR:
-            if depth < 1:
-                raise MalformedExpression("star without operand")
-        elif tok.kind in (TokenKind.CONCAT, TokenKind.ALT):
-            if depth < 2:
-                raise MalformedExpression("binary operator underflow")
-            depth -= 1
-        else:
-            raise MalformedExpression("parenthesis in postfix program")
-    if depth != 1:
-        raise MalformedExpression(f"postfix program leaves {depth} values")
-
-
 def to_postfix(expr: NormalizedExpr) -> PostfixProgram:
     """Shunting-yard conversion with precedence * > & > |.  `parse` and
     `parse_formal` give well-formed infix, so the program is well formed;
-    only `parse_postfix`, which reads outside text, checks arity."""
+    only `parse_postfix`, which reads outside text, checks it."""
     return PostfixProgram(tokens=tuple(_sya(expr.tokens)))
 
 
@@ -706,7 +696,8 @@ def postfix_to_ast(prog: PostfixProgram) -> RegexAst:
 
 
 def parse_postfix(text: str) -> PostfixProgram:
-    """Parse a compact postfix string like 'ba|ab|*&' (one char per token)."""
-    tokens = _formal_tokens(text)
-    _check_arity(tokens)
-    return PostfixProgram(tokens=tuple(tokens))
+    """Parse a compact postfix string like 'ba|ab|*&' (one char per token);
+    an ill-formed program raises MalformedExpression."""
+    prog = PostfixProgram(tokens=tuple(_formal_tokens(text)))
+    postfix_to_ast(prog)
+    return prog

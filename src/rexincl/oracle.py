@@ -82,8 +82,8 @@ def enumerate_language(ast: RegexAst, alphabet, max_len: int) -> LanguageSample:
     alphabet = tuple(sorted(alphabet))
     if len(alphabet) > MAX_ALPHABET:
         raise BoundExceeded(f"alphabet size {len(alphabet)} exceeds {MAX_ALPHABET}")
-    if max_len > MAX_LEN:
-        raise BoundExceeded(f"max_len {max_len} exceeds {MAX_LEN}")
+    if not 0 <= max_len <= MAX_LEN:
+        raise BoundExceeded(f"max_len {max_len} is outside 0..{MAX_LEN}")
     accepted = set()
     for length in range(max_len + 1):
         for combo in itertools.product(alphabet, repeat=length):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import automata
 from .errors import DuplicateId, FormatError, PatternSyntaxError, UnsupportedFeature
-from .frontend import RawPattern
+from .frontend import RawPattern, host_compile
 
 HISTOGRAM_BUCKET = 100  # rule-id bucket width for the removal histogram
 
@@ -35,6 +35,10 @@ class Rule:
             raise ValueError(f"bad polarity {self.polarity!r}")
         if self.subrules and self.polarity != "positive":
             raise ValueError("subrules only allowed on positive rules")
+        if self.statistic_type is not None and not isinstance(self.statistic_type, str):
+            raise TypeError(f"statistic_type must be a str or None, not {self.statistic_type!r}")
+        if self.apa is not None and not isinstance(self.apa, bool):
+            raise TypeError(f"apa must be a bool or None, not {self.apa!r}")
 
 
 @dataclass
@@ -136,8 +140,16 @@ def save_rules(rules, path):
 
 def _compile_rules(rules):
     """Each rule id mapped to its compiled pattern, or to the reason it is
-    skipped.  Each distinct pattern text is compiled once, and every rule
+    skipped.  A rule is skipped when its pattern cannot be compiled, or when
+    re rejects one of its subrules, since the extractor then never runs it.
+    Each distinct pattern and subrule text is compiled once, and every rule
     with that text shares the result."""
+    bad_subrules = {}  # subrule text -> the reason re rejects it
+    for sub in {sub.text: sub for rule in rules for _, sub in rule.subrules}.values():
+        try:
+            host_compile(sub)
+        except PatternSyntaxError as exc:
+            bad_subrules[sub.text] = f"{type(exc).__name__}: {exc}"
     by_text = {}  # text -> CompiledPattern, or the reason it failed
     compiled = {}
     skipped = {}
@@ -149,6 +161,9 @@ def _compile_rules(rules):
             except (PatternSyntaxError, UnsupportedFeature) as exc:
                 by_text[text] = f"{type(exc).__name__}: {exc}"
         result = by_text[text]
+        if bad_subrules and not isinstance(result, str):
+            result = next((bad_subrules[sub.text] for _, sub in rule.subrules
+                           if sub.text in bad_subrules), result)
         if isinstance(result, str):
             skipped[rule.id] = result
         else:
@@ -316,5 +331,5 @@ def analyze_patterns(rules) -> dict:
 
 
 def rule_tags(rule: Rule) -> set:
-    """Idiom tags for a single rule (used by tests and the CLI)."""
+    """Idiom tags for a single rule (used by the tests)."""
     return {tag for tag, n in analyze_patterns([rule]).items() if n}

@@ -198,6 +198,20 @@ class TestReduce:
         assert code == 2
         assert "error: line 1:" in err
 
+    @pytest.mark.parametrize("command", ["reduce", "extract"])
+    @pytest.mark.parametrize("field, value", [("apa", "no"), ("statistic_type", 5)])
+    def test_metadata_of_wrong_type_exits_two(self, capsys, tmp_path, command, field, value):
+        rules_path = tmp_path / "rules.jsonl"
+        rules_path.write_text(json.dumps(
+            {"id": 0, "pattern": "a", "polarity": "positive", field: value}) + "\n")
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text('{"doc_id": "d", "text": "a 1."}\n')
+        extra = ["--corpus", str(corpus_path)] if command == "extract" else []
+        code, _, err = run(capsys, command, "--rules", str(rules_path),
+                           "--out", str(tmp_path / "r.json"), *extra)
+        assert code == 2
+        assert f"error: line 1: {field}" in err and "Traceback" not in err
+
 
 class TestExtract:
     @pytest.fixture
@@ -224,10 +238,9 @@ class TestExtract:
         assert report["apa_share_with_anova_no_r"] == pytest.approx(efx.APA_SHARE_WITH)
         assert len(results_path.read_text().splitlines()) == 30
 
-    def test_sampling_deterministic(self, capsys, paths, monkeypatch):
+    def test_sampling_deterministic(self, capsys, paths):
         rules_path, corpus_path, tmp_path = paths
         out_path = tmp_path / "report.json"
-        monkeypatch.setenv("REXINCL_SEED", "42")
         code, out1, _ = run(capsys, "extract", "--rules", str(rules_path),
                             "--corpus", str(corpus_path), "--out", str(out_path),
                             "--sample", "2")
@@ -337,6 +350,12 @@ class TestOracleVerify:
         code, _, err = run(capsys, "oracle-verify", "--left", left, "--right", "a")
         assert code == 2
         assert "exceeds" in err
+
+    def test_negative_max_len_exits_two(self, capsys):
+        code, out, err = run(capsys, "oracle-verify", "--left", "a", "--right", "b",
+                             "--max-len", "-1")
+        assert code == 2
+        assert out == "" and "max_len -1" in err
 
 
 def test_console_script_installed():

@@ -54,28 +54,27 @@ class TestSplitSentences:
 
 class TestClassify:
     def test_apa_t_test_with_values(self):
-        res = classify(sent("t(12) = 2.31, p < .05"), fx.RULES)
+        res = classify(sent("t(12) = 2.31, p < .05"), CompiledRuleSet(fx.RULES))
         assert res.outcome == STATISTIC
         assert res.statistic_type == "t-test"
         assert res.apa is True
         assert res.values == {"df": "12", "statistic": "2.31", "p_value": ".05"}
 
     def test_table_reference_rejected(self):
-        res = classify(sent("as shown in Table 1"), fx.RULES)
+        res = classify(sent("as shown in Table 1"), CompiledRuleSet(fx.RULES))
         assert res.outcome == REJECTED
         assert res.matched_rule_id == 10
 
     def test_empty_rule_set_unmatched(self):
-        res = classify(sent("We recruited 15 participants in 2019"), [])
+        res = classify(sent("We recruited 15 participants in 2019"), CompiledRuleSet([]))
         assert res.outcome == UNMATCHED
         assert res.matched_rule_id is None
 
-    def test_positive_beats_negative_by_default(self):
-        text = "Table 5 gives t(12) = 2.31, p < .05"
-        res = classify(sent(text), fx.RULES)
-        assert res.outcome == STATISTIC
-        flipped = classify(sent(text), CompiledRuleSet(fx.RULES, "negative-first"))
-        assert flipped.outcome == REJECTED
+    def test_positive_beats_matching_negative(self):
+        text = sent("Table 5 gives t(12) = 2.31, p < .05")
+        negatives = [r for r in fx.RULES if r.polarity == "negative"]
+        assert classify(text, CompiledRuleSet(negatives)).outcome == REJECTED
+        assert classify(text, CompiledRuleSet(fx.RULES)).outcome == STATISTIC
 
     def test_first_match_wins_by_id(self):
         rules = [
@@ -84,7 +83,7 @@ class TestClassify:
             Rule(id=1, pattern=RawPattern(r"t-value of \d+"), polarity="positive",
                  statistic_type="t-test", apa=False),
         ]
-        res = classify(sent("a t-value of 3"), rules)
+        res = classify(sent("a t-value of 3"), CompiledRuleSet(rules))
         assert res.matched_rule_id == 0
 
     def test_subrule_capture_limited_to_span(self):
@@ -94,13 +93,18 @@ class TestClassify:
                  statistic_type="t-test", apa=False,
                  subrules=(("p_value", RawPattern(r"p\s?[<>=]\s?(\.\d+)")),)),
         ]
-        res = classify(sent("t(12) was found, p < .05"), rules)
+        res = classify(sent("t(12) was found, p < .05"), CompiledRuleSet(rules))
         assert res.outcome == STATISTIC
         assert res.values == {}
 
+    def test_host_rejected_subrule_skips_rule(self):
+        rules = [Rule(id=0, pattern=RawPattern(r"a\d"), polarity="positive",
+                      subrules=(("n", RawPattern("a{99999999999999999999}")),))]
+        assert classify(sent("a1"), CompiledRuleSet(rules)).outcome == UNMATCHED
+
     def test_host_invalid_rule_skipped(self):
         rules = [Rule(id=0, pattern=RawPattern(r"(?P<x"), polarity="negative")]
-        res = classify(sent("anything 1"), rules)
+        res = classify(sent("anything 1"), CompiledRuleSet(rules))
         assert res.outcome == UNMATCHED
 
 

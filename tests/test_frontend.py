@@ -245,13 +245,18 @@ class TestPostfixToAst:
         assert "" not in sample.accepted
         assert {"a", "b", "ab", "ba", "abb"} <= sample.accepted
 
-    def test_malformed(self):
-        with pytest.raises(MalformedExpression):
-            parse_postfix("ab")  # two values left
-        with pytest.raises(MalformedExpression):
-            parse_postfix("&")  # underflow
-        with pytest.raises(MalformedExpression):
-            parse_postfix("*")
+    @pytest.mark.parametrize("text, message", [
+        ("ab", "postfix program leaves 2 values"),
+        ("&", "binary operator underflow"),
+        ("*", "star without operand"),
+        ("(a", "parenthesis in postfix program"),
+        ("a)", "parenthesis in postfix program"),
+        ("", "postfix program leaves 0 values"),
+    ], ids=["two_values", "underflow", "bare_star", "open_paren", "close_paren", "empty"])
+    def test_malformed(self, text, message):
+        with pytest.raises(MalformedExpression) as exc:
+            parse_postfix(text)
+        assert str(exc.value) == message
 
 
 SUPPORTED = st.sampled_from([

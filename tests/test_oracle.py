@@ -64,6 +64,8 @@ class TestEnumerateLanguage:
             enumerate_language(ast_of("a"), "abcde", 3)
         with pytest.raises(BoundExceeded):
             enumerate_language(ast_of("a"), "ab", 9)
+        with pytest.raises(BoundExceeded):
+            enumerate_language(ast_of("a"), "ab", -1)
 
 
 class TestVerifyInclusion:

@@ -9,6 +9,7 @@ import ruleset_fixture as fx
 from bench_rules import bench_rule_set
 from rexincl import automata as am
 from rexincl import oracle as oc
+from rexincl import reducer as rd
 from rexincl.errors import DuplicateId, FormatError
 from rexincl.extractor import Document, bench, load_corpus
 from rexincl.frontend import Alt, Concat, Eps, RawPattern, Star
@@ -113,6 +114,16 @@ class TestLoadSave:
         with pytest.raises(FormatError) as exc:
             load(path)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("field, value", [("apa", "no"), ("statistic_type", 5)])
+    def test_metadata_of_wrong_type_reports_line(self, tmp_path, field, value):
+        path = tmp_path / "rules.jsonl"
+        good = {"id": 0, "pattern": "a", "polarity": "positive", "statistic_type": "s", "apa": True}
+        path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, 'id': 1, field: value})}\n")
+        with pytest.raises(FormatError) as exc:
+            load_rules(path)
+        assert exc.value.line == 2
+        assert field in str(exc.value)
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "rules.jsonl"
@@ -223,6 +234,20 @@ class TestComputeInclusions:
         assert 1 in report.skipped
         assert report.removed == {0}
         assert 1 in report.survivors  # never removed, only set aside
+
+    def test_rule_with_host_rejected_subrule_skipped(self):
+        # The extractor never runs rule 0, so it covers nothing: removing
+        # rule 1 would leave "a1" unmatched.
+        rules = [
+            Rule(id=0, pattern=RawPattern(r"a\d+"), polarity="positive", statistic_type="t",
+                 subrules=(("x", RawPattern("(")),)),
+            Rule(id=1, pattern=RawPattern(r"a\d"), polarity="positive", statistic_type="t"),
+        ]
+        report = compute_inclusions(rules)
+        assert report.removed == set()
+        assert list(report.skipped) == [0]
+        assert report.skipped[0].startswith("PatternSyntaxError: missing )")
+        bench([Document("d", "We saw a1 here.")], rules, reduce(report, rules), repeats=1)
 
     def test_histogram_buckets(self):
         rules = [neg(5, "ab"), neg(205, "xy"), neg(230, "x[yz]"), neg(300, "a[ab]")]
@@ -355,6 +380,17 @@ class TestRepeatedTexts:
                             lambda raw: texts.append(raw.text) or compile_pattern(raw))
         compute_inclusions(self.RULES)
         assert sorted(texts) == sorted({r.pattern.text for r in self.RULES})
+
+    def test_each_subrule_text_compiled_once(self, monkeypatch):
+        texts = []
+        host_compile = rd.host_compile
+        monkeypatch.setattr(rd, "host_compile",
+                            lambda raw: texts.append(raw.text) or host_compile(raw))
+        rules = bench_rule_set(1, 20)
+        compute_inclusions(rules)
+        subrule_texts = [p.text for r in rules for _, p in r.subrules]
+        assert len(subrule_texts) > len(set(subrule_texts))
+        assert sorted(texts) == sorted(set(subrule_texts))
 
     def test_same_text_pairs_are_not_searched(self, monkeypatch):
         # Each search is told back to the texts of its two DFAs.
