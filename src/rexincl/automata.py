@@ -513,27 +513,13 @@ def compile_postfix(prog: PostfixProgram) -> CompiledPattern:
 
 def completed_dfas(patterns) -> list[Dfa]:
     """Complete DFAs of compiled patterns, in order, over one partition of
-    all their classes, so that any two of them can be compared."""
-    return group_dfas(patterns)[0]
-
-
-def group_dfas(patterns) -> tuple[list[Dfa], list[int]]:
-    """`completed_dfas`, and each pattern's characters as an int with one
-    bit per block of the same partition.  Blocks refine every class, so
-    `a & ~b` is zero exactly when every character of `a` is in `b`.  The
-    partition is built from the labels, so it gives their blocks too."""
+    all their classes, so that any two of them can be compared: the pair
+    for a single check, the polarity group for a reduction.  Partitioning
+    the labels gives each label's blocks too, so no DFA partitions again."""
     labels = list({id(c): c for p in patterns for c in p.nfa.classes}.values())
     sigma, columns = frontend.partition(labels)
     columns = dict(zip(map(id, labels), columns))
-    bits = {key: sum(1 << i for i in cols) for key, cols in columns.items()}
-    dfas, masks = [], []
-    for p in patterns:
-        dfas.append(_determinize(p.nfa, sigma, columns))
-        mask = 0
-        for label in p.nfa.classes:
-            mask |= bits[id(label)]
-        masks.append(mask)
-    return dfas, masks
+    return [_determinize(p.nfa, sigma, columns) for p in patterns]
 
 
 def decide_inclusion(superset: CompiledPattern, candidate: CompiledPattern) -> InclusionVerdict:

@@ -37,6 +37,10 @@ class Document:
     doc_id: str
     text: str
 
+    def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise TypeError(f"document text must be a str, not {self.text!r}")
+
 
 @dataclass(frozen=True)
 class Sentence:
@@ -164,12 +168,7 @@ def run_corpus(corpus, rules):
     compiled = CompiledRuleSet(rules)
     results = []
     for doc in corpus:
-        try:
-            sentences = split_sentences(doc)
-        except Exception:  # unreadable document: skip with warning
-            log.warning("skipping unreadable document %r", getattr(doc, "doc_id", doc))
-            continue
-        for sentence in sentences:
+        for sentence in split_sentences(doc):
             results.append(classify(sentence, compiled))
     return aggregate(results), results
 

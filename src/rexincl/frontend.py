@@ -340,7 +340,6 @@ def ast_chars(ast: RegexAst) -> tuple:
 @dataclass(frozen=True)
 class RawPattern:
     text: str
-    source_id: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.text, str):
@@ -371,19 +370,23 @@ class PostfixProgram:
 # Lowering the host engine's parse tree
 # ---------------------------------------------------------------------------
 
-def _host_parse(text):
+_TOO_DEEP = "pattern too long or too deeply nested"
+
+
+def _host(read, text):
+    """`read(text)` for a re reader, `re.compile` or its parser; every way
+    re rejects a pattern raises PatternSyntaxError."""
     try:
-        return _sre.parse(text)
-    except (re.error, ValueError, OverflowError) as exc:  # each is how re rejects a pattern
+        return read(text)
+    except RecursionError:
+        raise PatternSyntaxError(_TOO_DEEP) from None
+    except (re.error, ValueError, OverflowError) as exc:
         raise PatternSyntaxError(str(exc)) from None
 
 
 def host_compile(raw: RawPattern):
     """The pattern compiled by re; one that re rejects raises PatternSyntaxError."""
-    try:
-        return re.compile(raw.text)
-    except (re.error, ValueError, OverflowError) as exc:
-        raise PatternSyntaxError(str(exc)) from None
+    return _host(re.compile, raw.text)
 
 
 def _lower(items, stripped: list[str]) -> RegexAst:
@@ -543,13 +546,13 @@ def parse(raw: RawPattern | str) -> NormalizedExpr:
         raise PatternSyntaxError("empty pattern")
     stripped = []
     try:  # parsing, lowering and emitting recurse once per nesting level and atom
-        tree = _host_parse(text)
+        tree = _host(_sre.parse, text)
         if tree.state.flags & ~_sre.SRE_FLAG_UNICODE:
             stripped.append("flag")
         tokens = []
         _emit_raw(_lower(tree, stripped), tokens)
     except RecursionError:
-        raise PatternSyntaxError("pattern too long or too deeply nested") from None
+        raise PatternSyntaxError(_TOO_DEEP) from None
     return NormalizedExpr(
         tokens=tuple(tokens),
         approximate=bool(stripped),

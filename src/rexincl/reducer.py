@@ -29,6 +29,8 @@ class Rule:
     subrules: tuple = ()  # (name, RawPattern) pairs, positive rules only
 
     def __post_init__(self):
+        if not isinstance(self.id, int) or isinstance(self.id, bool):
+            raise TypeError(f"id must be an int, not {self.id!r}")
         if self.id < 0:
             raise ValueError("rule id must be non-negative")
         if self.polarity not in ("positive", "negative"):
@@ -39,6 +41,9 @@ class Rule:
             raise TypeError(f"statistic_type must be a str or None, not {self.statistic_type!r}")
         if self.apa is not None and not isinstance(self.apa, bool):
             raise TypeError(f"apa must be a bool or None, not {self.apa!r}")
+        for name, _ in self.subrules:
+            if not isinstance(name, str):
+                raise TypeError(f"subrule name must be a str, not {name!r}")
 
 
 @dataclass
@@ -108,8 +113,8 @@ def _rule_from_obj(obj) -> Rule:
         (sr["name"], RawPattern(sr["pattern"])) for sr in obj.get("subrules") or ()
     )
     return Rule(
-        id=int(obj["id"]),
-        pattern=RawPattern(obj["pattern"], source_id=int(obj["id"])),
+        id=obj["id"],
+        pattern=RawPattern(obj["pattern"]),
         polarity=obj["polarity"],
         statistic_type=obj.get("statistic_type"),
         apa=obj.get("apa"),
@@ -178,10 +183,13 @@ def _includes_in_group(ids, compiled):
     Rules that share a pattern text share one compiled pattern; they include
     each other, and everything else is decided once per distinct pattern.
     All patterns of the group share one partition alphabet, so each one's
-    complete DFA, its complement and its characters (one bit per block) are
-    built once and reused across all of its pairs.  Every verdict is an exact
-    language inclusion, so a pair that known verdicts already decide through
-    a third pattern k is inferred instead of searched.
+    complete DFA and its complement are built once and reused across all of
+    its pairs.  A pattern's characters are the blocks on the steps between
+    live states of its DFA: every state is reachable, so these are the
+    blocks on the strings it matches, and a label behind an empty class adds
+    none.  Every verdict is an exact language inclusion, so a pair that known
+    verdicts already decide through a third pattern k is inferred instead of
+    searched.
     """
     bits = automata._members  # the positions of a mask's set bits, lowest first
     shared = {}  # id(pattern) -> (pattern, the ids of the rules that use it)
@@ -190,15 +198,18 @@ def _includes_in_group(ids, compiled):
         shared.setdefault(id(pattern), (pattern, []))[1].append(rule_id)
     patterns = [pattern for pattern, _ in shared.values()]
     members = [rule_ids for _, rule_ids in shared.values()]
-    dfas, chars = automata.group_dfas(patterns)
+    dfas = automata.completed_dfas(patterns)
     n = len(patterns)
     # Bit j of users[b] when pattern j has a character in block b.  Pattern j
     # passes the Σ gate under pattern i, a necessary condition cheaper than
     # the product, when it uses no block outside i's characters.
     users = [0] * len(dfas[0].alphabet)
-    for j, mask in enumerate(chars):
-        for b in bits(mask):
+    chars = []  # per pattern, one bit per block it has a character in
+    for j, dfa in enumerate(dfas):
+        blocks = {b for steps in dfa.live_steps for b, _ in steps}
+        for b in blocks:
             users[b] |= 1 << j
+        chars.append(sum(1 << b for b in blocks))
     every_block = (1 << len(users)) - 1
     everyone = (1 << n) - 1
     # Bitsets over positions: bit j of inc[i] (and bit i of sup[j]) when

@@ -199,7 +199,8 @@ class TestReduce:
         assert "error: line 1:" in err
 
     @pytest.mark.parametrize("command", ["reduce", "extract"])
-    @pytest.mark.parametrize("field, value", [("apa", "no"), ("statistic_type", 5)])
+    @pytest.mark.parametrize("field, value", [("apa", "no"), ("statistic_type", 5), ("id", 3.9),
+                                              ("id", True), ("id", "3")])
     def test_metadata_of_wrong_type_exits_two(self, capsys, tmp_path, command, field, value):
         rules_path = tmp_path / "rules.jsonl"
         rules_path.write_text(json.dumps(
@@ -271,6 +272,41 @@ class TestExtract:
                            "--corpus", str(corpus_path), "--out", str(tmp_path / "r.json"))
         assert code == 2
         assert "error: line 2:" in err
+
+    @pytest.mark.parametrize("command", ["extract", "bench"])
+    def test_corpus_text_not_a_string_exits_two(self, capsys, paths, command):
+        rules_path, corpus_path, tmp_path = paths
+        corpus_path.write_text('{"doc_id": "d0", "text": "t = 2.1."}\n{"doc_id": "d", "text": 5}\n')
+        extra = (["--out", str(tmp_path / "r.json")] if command == "extract"
+                 else ["--reduced", str(rules_path)])
+        code, _, err = run(capsys, command, "--rules", str(rules_path),
+                           "--corpus", str(corpus_path), *extra)
+        assert code == 2
+        assert "error: line 2: document text must be a str" in err and "Traceback" not in err
+
+    def test_subrule_name_not_a_string_exits_two(self, capsys, paths):
+        rules_path, corpus_path, tmp_path = paths
+        rules_path.write_text(json.dumps(
+            {"id": 0, "pattern": r"a(\d)", "polarity": "positive",
+             "subrules": [{"name": 5, "pattern": r"(\d)"}, {"name": "x", "pattern": "a"}]}) + "\n")
+        corpus_path.write_text('{"doc_id": "d", "text": "We saw a1 here."}\n')
+        code, _, err = run(capsys, "extract", "--rules", str(rules_path), "--corpus",
+                           str(corpus_path), "--out", str(tmp_path / "r.json"),
+                           "--results", str(tmp_path / "results.jsonl"))
+        assert code == 2
+        assert "error: line 1: subrule name must be a str" in err and "Traceback" not in err
+
+    def test_too_deeply_nested_rule_skipped(self, capsys, caplog, paths):
+        rules_path, corpus_path, tmp_path = paths
+        with open(rules_path, "a") as fh:
+            fh.write(json.dumps({"id": 999, "pattern": "(" * 1000 + "a" + ")" * 1000,
+                                 "polarity": "negative"}) + "\n")
+        code, out, err = run(capsys, "extract", "--rules", str(rules_path),
+                             "--corpus", str(corpus_path), "--out", str(tmp_path / "r.json"))
+        assert code == 0
+        assert json.loads(out)["total_statistics"] == 15
+        assert "skipping rule 999: pattern too long or too deeply nested" in caplog.text
+        assert "Traceback" not in err
 
     def test_corpus_not_utf8_exits_two(self, capsys, paths):
         rules_path, corpus_path, tmp_path = paths

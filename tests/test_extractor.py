@@ -3,7 +3,7 @@ import json
 import pytest
 
 import extract_fixture as fx
-from rexincl.errors import OutcomeMismatch
+from rexincl.errors import FormatError, OutcomeMismatch
 from rexincl.extractor import (
     REJECTED,
     STATISTIC,
@@ -107,6 +107,13 @@ class TestClassify:
         res = classify(sent("anything 1"), CompiledRuleSet(rules))
         assert res.outcome == UNMATCHED
 
+    def test_too_deeply_nested_rule_skipped(self, caplog):
+        # re.compile recurses once per level and runs out of stack.
+        deep = Rule(id=0, pattern=RawPattern("(" * 1000 + "a" + ")" * 1000), polarity="negative")
+        compiled = CompiledRuleSet([deep, Rule(id=1, pattern=RawPattern("b"), polarity="negative")])
+        assert [rule.id for rule, _, _ in compiled.negative] == [1]
+        assert "skipping rule 0: pattern too long or too deeply nested" in caplog.text
+
 
 class TestRunCorpus:
     def test_single_apa_sentence(self):
@@ -195,6 +202,14 @@ class TestCorpusIo:
         path.write_text('{"doc_id": "x", "text": "Only 1 line."}\n\n')
         docs = load_corpus(path)
         assert docs == [Document(doc_id="x", text="Only 1 line.")]
+
+    def test_text_not_a_string_reports_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"doc_id": "x", "text": "Only 1 line."}\n{"doc_id": "d", "text": 5}\n')
+        with pytest.raises(FormatError) as exc:
+            load_corpus(path)
+        assert exc.value.line == 2
+        assert "document text must be a str" in str(exc.value)
 
     def test_write_results_jsonl(self, tmp_path):
         _, results = run_corpus(fx.build_corpus(), fx.RULES)

@@ -12,7 +12,7 @@ from rexincl import oracle as oc
 from rexincl import reducer as rd
 from rexincl.errors import DuplicateId, FormatError
 from rexincl.extractor import Document, bench, load_corpus
-from rexincl.frontend import Alt, Concat, Eps, RawPattern, Star
+from rexincl.frontend import Alt, Concat, Eps, RawPattern, Star, Sym, charset
 from rexincl.reducer import (
     InclusionReport,
     Rule,
@@ -25,6 +25,10 @@ from rexincl.reducer import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Two rules of the one language {a}; rule 1's b lies behind an empty class.
+DEAD_LABEL = [Rule(id=0, pattern=RawPattern("a"), polarity="negative"),
+              Rule(id=1, pattern=RawPattern(r"a|[^\x00-\U0010ffff]b"), polarity="negative")]
 
 
 def neg(rule_id, pattern):
@@ -51,7 +55,8 @@ def per_pair_reference(rules):
 def nested_group(rng, size):
     """Random expressions over abc grown into chains (x ⊆ x|y ⊆ (x|y)|z ⊆
     ((x|y)|z)*), diamonds (x under x|y and z|x, both under (x|y)|z) and
-    equal-language duplicates (x, x|x, x then ε), in shuffled order."""
+    equal-language duplicates (x, x|x, x then ε, x|∅y), in shuffled order.
+    The labels of y behind the empty class ∅ match nothing."""
     asts = []
     while len(asts) < size:
         x, y, z = (oc.random_ast(rng, 3, "abc") for _ in range(3))
@@ -61,7 +66,7 @@ def nested_group(rng, size):
         elif shape == "diamond":
             asts += [x, Alt(x, y), Alt(z, x), Alt(Alt(x, y), z)]
         else:
-            asts += [x, Alt(x, x), Concat(x, Eps())]
+            asts += [x, Alt(x, x), Concat(x, Eps()), Alt(x, Concat(Sym(charset(())), y))]
     rng.shuffle(asts)
     return [neg(i, oc.render_pattern(a)) for i, a in enumerate(asts[:size])]
 
@@ -115,7 +120,8 @@ class TestLoadSave:
             load(path)
         assert exc.value.line == 2
 
-    @pytest.mark.parametrize("field, value", [("apa", "no"), ("statistic_type", 5)])
+    @pytest.mark.parametrize("field, value", [("apa", "no"), ("statistic_type", 5), ("id", 3.9),
+                                              ("id", True), ("id", "3")])
     def test_metadata_of_wrong_type_reports_line(self, tmp_path, field, value):
         path = tmp_path / "rules.jsonl"
         good = {"id": 0, "pattern": "a", "polarity": "positive", "statistic_type": "s", "apa": True}
@@ -124,6 +130,16 @@ class TestLoadSave:
             load_rules(path)
         assert exc.value.line == 2
         assert field in str(exc.value)
+
+    def test_subrule_name_not_a_string_reports_line(self, tmp_path):
+        path = tmp_path / "rules.jsonl"
+        path.write_text(json.dumps(
+            {"id": 0, "pattern": r"a(\d)", "polarity": "positive",
+             "subrules": [{"name": 5, "pattern": r"(\d)"}, {"name": "x", "pattern": "a"}]}) + "\n")
+        with pytest.raises(FormatError) as exc:
+            load_rules(path)
+        assert exc.value.line == 1
+        assert "subrule name must be a str" in str(exc.value)
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "rules.jsonl"
@@ -255,8 +271,8 @@ class TestComputeInclusions:
         assert report.removed == {5, 205}
         assert report.histogram_by_id_bucket == {0: 1, 200: 1}
 
-    @pytest.mark.parametrize("rules", [efx.RULES, fx.build_rules()],
-                             ids=["extract_fixture", "ruleset_fixture"])
+    @pytest.mark.parametrize("rules", [efx.RULES, fx.build_rules(), DEAD_LABEL],
+                             ids=["extract_fixture", "ruleset_fixture", "dead_label"])
     def test_matches_per_pair_reference(self, rules):
         # The shared per-group tables must give the relation that deciding
         # every pair on its own, with the reference procedure, gives.
@@ -286,9 +302,11 @@ class TestComputeInclusions:
         report = compute_inclusions(rules)
         assert report.skipped == {}
         assert report.includes == per_pair_reference(rules)
-        _, chars = am.group_dfas([am.compile_pattern(r.pattern) for r in rules])
+        # A pattern's characters: the blocks on its DFA's live steps.
+        dfas = am.completed_dfas([am.compile_pattern(r.pattern) for r in rules])
+        chars = [{b for steps in d.live_steps for b, _ in steps} for d in dfas]
         gated = sum(1 for i, a in enumerate(chars) for j, b in enumerate(chars)
-                    if i != j and not b & ~a)
+                    if i != j and b <= a)
         assert len(searches) < gated
 
     def test_each_inference_rule_fires(self, monkeypatch):
@@ -296,11 +314,11 @@ class TestComputeInclusions:
         # leaves 9 of the 12 ordered pairs ("a" includes none of the others).
         rules = [neg(0, "a"), neg(1, "a*b*"), neg(2, "[ab]*"), neg(3, "ab")]
         dfas, searched = [], []
-        group_dfas, counterexample = am.group_dfas, am._counterexample
+        completed_dfas, counterexample = am.completed_dfas, am._counterexample
 
-        def recording_group_dfas(patterns):
-            built = group_dfas(patterns)
-            dfas[:] = built[0]
+        def recording_completed_dfas(patterns):
+            built = completed_dfas(patterns)
+            dfas[:] = built
             return built
 
         def recording_search(comp, cand):
@@ -308,7 +326,7 @@ class TestComputeInclusions:
                              next(i for i, d in enumerate(dfas) if d is cand)))
             return counterexample(comp, cand)
 
-        monkeypatch.setattr(am, "group_dfas", recording_group_dfas)
+        monkeypatch.setattr(am, "completed_dfas", recording_completed_dfas)
         monkeypatch.setattr(am, "_counterexample", recording_search)
         report = compute_inclusions(rules)
         assert report.includes == per_pair_reference(rules)
@@ -395,18 +413,18 @@ class TestRepeatedTexts:
     def test_same_text_pairs_are_not_searched(self, monkeypatch):
         # Each search is told back to the texts of its two DFAs.
         texts, searched = {}, []
-        group_dfas, counterexample = am.group_dfas, am._counterexample
+        completed_dfas, counterexample = am.completed_dfas, am._counterexample
 
-        def recording_group_dfas(patterns):
-            built = group_dfas(patterns)
-            texts.update((id(d.table), p.pattern) for p, d in zip(patterns, built[0]))
+        def recording_completed_dfas(patterns):
+            built = completed_dfas(patterns)
+            texts.update((id(d.table), p.pattern) for p, d in zip(patterns, built))
             return built
 
         def recording_search(comp, cand):
             searched.append((texts[id(comp.table)], texts[id(cand.table)]))
             return counterexample(comp, cand)
 
-        monkeypatch.setattr(am, "group_dfas", recording_group_dfas)
+        monkeypatch.setattr(am, "completed_dfas", recording_completed_dfas)
         monkeypatch.setattr(am, "_counterexample", recording_search)
         compute_inclusions(self.RULES)
         assert searched
