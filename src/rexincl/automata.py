@@ -177,6 +177,12 @@ class Dfa:
         return tuple(tuple((i, dst) for i, dst in enumerate(row) if live[dst])
                      for row in self.table)
 
+    @cached_property
+    def char_blocks(self) -> int:
+        """Bit i is set when block `alphabet[i]` is on a step between live
+        states; as every state is reachable, these are the accepted blocks."""
+        return sum(1 << i for i in {i for steps in self.live_steps for i, _ in steps})
+
     @property
     def transitions(self) -> dict:
         """(state, block) -> state for every entry; for display."""

@@ -3,13 +3,14 @@ conversion to postfix.
 
 Rules are Python regular expressions, and `parse` reads them with the host
 `re` engine's own parser, so a rule means here what it means to the engine
-that runs it.  The parse tree is lowered onto five constructs: symbols
-(carried as character *sets* of code-point intervals, not expanded to
-alternations), the empty string, concatenation ('&'), alternation ('|') and
-the Kleene star.  Features that cannot be represented exactly (anchors,
-lookarounds, inline flags) are stripped and recorded so downstream consumers
-can flag results as approximate.  Backreferences and other non-regular
-constructs are rejected.
+that runs it.  The parse tree is lowered straight to the infix tokens of five
+constructs: symbols (carried as character *sets* of code-point intervals,
+not expanded to alternations), the empty string, concatenation ('&'),
+alternation ('|') and the Kleene star.  Features that cannot be represented
+exactly (anchors, lookarounds, inline flags other than VERBOSE) are stripped
+and recorded so downstream consumers can flag results as approximate.
+Backreferences and other non-regular constructs are rejected, and so is a
+pattern of more than MAX_SYMBOLS operands once its repetitions are expanded.
 
 `parse_formal` reads the paper's formal notation instead: one character per
 symbol, explicit '&', '|' and '*', parentheses and 'ε'.
@@ -23,7 +24,8 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import MalformedExpression, PatternSyntaxError, UnsupportedFeature
 
@@ -37,6 +39,9 @@ EPSILON_CHAR = "ε"  # the empty string in the formal notation
 # X{m,n} is lowered to n copies of X, and X{m,} to m + 1; refuse bounds that
 # would produce absurd token counts.
 MAX_REPEAT = 200
+# The most operands (symbols and ε, which the shunting-yard reads as Σ) a
+# pattern may have once expanded; it bounds everything built from a pattern.
+MAX_SYMBOLS = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +256,12 @@ class Token:
         return token_str(self)
 
 
-def _tok(kind):
-    return Token(kind)
-
-
-TOK_EPSILON = _tok(TokenKind.EPSILON)
-TOK_CONCAT = _tok(TokenKind.CONCAT)
-TOK_ALT = _tok(TokenKind.ALT)
-TOK_STAR = _tok(TokenKind.STAR)
-TOK_LPAREN = _tok(TokenKind.LPAREN)
-TOK_RPAREN = _tok(TokenKind.RPAREN)
+TOK_EPSILON = Token(TokenKind.EPSILON)
+TOK_CONCAT = Token(TokenKind.CONCAT)
+TOK_ALT = Token(TokenKind.ALT)
+TOK_STAR = Token(TokenKind.STAR)
+TOK_LPAREN = Token(TokenKind.LPAREN)
+TOK_RPAREN = Token(TokenKind.RPAREN)
 
 # The formal notation, one character per token; any other character is a
 # one-character symbol.
@@ -282,6 +283,7 @@ def token_str(tok: Token) -> str:
 # ---------------------------------------------------------------------------
 # Formal AST
 # ---------------------------------------------------------------------------
+# The oracle's reference representation, built by `postfix_to_ast`.
 
 class RegexAst:
     pass
@@ -369,8 +371,23 @@ class PostfixProgram:
 # ---------------------------------------------------------------------------
 # Lowering the host engine's parse tree
 # ---------------------------------------------------------------------------
+#
+# The parse tree is lowered straight to infix tokens, one piece per subtree.
+# None is ε, which drops out of a concatenation, so that a stripped feature
+# leaves no trace in the tokens.  A piece is parenthesized where it is the
+# operand of an operator that binds tighter than it.
 
 _TOO_DEEP = "pattern too long or too deeply nested"
+_PREC_ALT, _PREC_CONCAT, _PREC_STAR, _PREC_ATOM = 1, 2, 3, 4
+# Flags that leave the tree's meaning as it is: Unicode is the default for str
+# patterns, and VERBOSE changes only how re reads the text into the tree.
+_EXACT_FLAGS = _sre.SRE_FLAG_UNICODE | _sre.SRE_FLAG_VERBOSE
+
+
+class _Piece(NamedTuple):
+    tokens: list
+    prec: int  # of its loosest top-level operator
+    size: int  # operands: symbol and ε tokens
 
 
 def _host(read, text):
@@ -389,24 +406,60 @@ def host_compile(raw: RawPattern):
     return _host(re.compile, raw.text)
 
 
-def _lower(items, stripped: list[str]) -> RegexAst:
-    """The formal AST of a sequence of sre parse-tree items."""
-    ast = EPS
+def _bounded(size):
+    """`size`, the operands of a piece about to be built, if within bound."""
+    if size > MAX_SYMBOLS:
+        raise PatternSyntaxError(
+            f"{_TOO_DEEP}: {size} symbols after expansion exceed {MAX_SYMBOLS}")
+    return size
+
+
+def _operand(piece, need):
+    """A piece's tokens as the operand of an operator of precedence `need`:
+    in parentheses when the piece binds looser."""
+    if piece is None:
+        return [TOK_EPSILON]
+    return [TOK_LPAREN, *piece.tokens, TOK_RPAREN] if piece.prec < need else piece.tokens
+
+
+def _join(pieces, op):
+    """Pieces joined by `op`, TOK_CONCAT or TOK_ALT; ε drops out of a
+    concatenation, and a lone piece stands for itself."""
+    prec = _PREC_CONCAT if op is TOK_CONCAT else _PREC_ALT
+    if op is TOK_CONCAT:
+        pieces = [piece for piece in pieces if piece is not None]
+    if len(pieces) < 2:
+        return pieces[0] if pieces else None
+    size = _bounded(sum(piece.size if piece else 1 for piece in pieces))
+    tokens = []
+    for piece in pieces:
+        if tokens:
+            tokens.append(op)
+        tokens += _operand(piece, prec)
+    return _Piece(tokens, prec, size)
+
+
+def _lower(items, stripped: list[str]) -> _Piece | None:
+    """The piece of a sequence of sre parse-tree items, refused as soon as it
+    grows too large.  A loop, as a comprehension would cost a frame a level."""
+    pieces, size = [], 0
     for op, av in items:
-        ast = _concat(ast, _lower_item(op, av, stripped))
-    return ast
+        piece = _lower_item(op, av, stripped)
+        if piece is not None:
+            size = _bounded(size + piece.size)
+            pieces.append(piece)
+    return _join(pieces, TOK_CONCAT)
 
 
-def _lower_item(op, av, stripped) -> RegexAst:
-    if op is _sre.IN:
-        return Sym(_char_class(tuple(av)))
-    if op in (_sre.LITERAL, _sre.NOT_LITERAL, _sre.ANY):
-        return Sym(_char_class(((op, av),)))
+def _lower_item(op, av, stripped) -> _Piece | None:
+    if op in (_sre.IN, _sre.LITERAL, _sre.NOT_LITERAL, _sre.ANY):
+        items = tuple(av) if op is _sre.IN else ((op, av),)
+        return _Piece([Token(TokenKind.SYMBOL, _char_class(items))], _PREC_ATOM, 1)
     if op is _sre.BRANCH:
-        return reduce(Alt, [_lower(branch, stripped) for branch in av[1]])
+        return _join([_lower(branch, stripped) for branch in av[1]], TOK_ALT)
     if op is _sre.SUBPATTERN:
         _, add_flags, del_flags, body = av
-        if add_flags or del_flags:
+        if (add_flags | del_flags) & ~_EXACT_FLAGS:
             stripped.append("flag")
         return _lower(body, stripped)
     if op in (_sre.MAX_REPEAT, _sre.MIN_REPEAT):  # a lazy repeat reads as greedy
@@ -417,7 +470,7 @@ def _lower_item(op, av, stripped) -> RegexAst:
         return _repeat(_lower(body, stripped), m, n)
     if op is _sre.AT:
         stripped.append("anchor")
-        return EPS
+        return None
     if op in (_sre.ASSERT, _sre.ASSERT_NOT):
         direction, body = av
         lo, hi = body.getwidth()
@@ -425,7 +478,7 @@ def _lower_item(op, av, stripped) -> RegexAst:
             raise PatternSyntaxError("look-behind requires fixed-width pattern")
         _lower(body, stripped)  # checked like the rest, then dropped
         stripped.append("lookaround")
-        return EPS
+        return None
     if op in (_sre.GROUPREF, _sre.GROUPREF_EXISTS):
         raise UnsupportedFeature("backreferences are not regular")
     raise UnsupportedFeature(f"{str(op).lower().replace('_', ' ')} is not supported")
@@ -454,78 +507,22 @@ def _char_class(items) -> tuple:
     return chars  # empty for a class like [^\x00-\U0010ffff], which matches nothing
 
 
-def _repeat(ast, m, n):
-    """X{m,n} as X^m followed by n-m nested optionals, (X(X(X)?)?)? when
-    n-m = 3, so that its size is linear in n; X{m,} as X^m X*."""
-    out = EPS
-    for _ in range(m):
-        out = _concat(out, ast)
+def _repeat(piece, m, n):
+    """X{m,n} as m copies of X followed by n-m nested optionals,
+    X&(X&(X|ε)|ε)|ε when n-m = 3, so that its size is linear in n; X{m,} as
+    m copies of X followed by X*.  The optionals are counted before built."""
+    rest = None
     if n is None:
-        return _concat(out, Star(ast))
-    tail = EPS
-    for _ in range(n - m):
-        tail = Alt(_concat(ast, tail), EPS)
-    return _concat(out, tail)
-
-
-def _concat(a, b):
-    # Concatenation with ε is the identity; collapsing keeps stripped
-    # features invisible in the token stream.
-    if isinstance(a, Eps):
-        return b
-    if isinstance(b, Eps):
-        return a
-    return Concat(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Infix emission
-# ---------------------------------------------------------------------------
-
-_PREC_ALT, _PREC_CONCAT, _PREC_STAR, _PREC_ATOM = 1, 2, 3, 4
-
-
-def _node_prec(node):
-    if isinstance(node, Alt):
-        return _PREC_ALT
-    if isinstance(node, Concat):
-        return _PREC_CONCAT
-    if isinstance(node, Star):
-        return _PREC_STAR
-    return _PREC_ATOM
-
-
-def _emit_infix(node, need, out):
-    """Append the node's infix tokens to `out`, parenthesized when it binds
-    looser than `need`.  With `_emit_raw` this spends two frames per AST
-    level, and `parse` refuses a tree too deep for the recursion limit: that
-    is what stops a pattern like ((a|b){0,200}){0,200}."""
-    if _node_prec(node) < need:
-        out.append(TOK_LPAREN)
-        _emit_raw(node, out)
-        out.append(TOK_RPAREN)
-    else:
-        _emit_raw(node, out)
-
-
-def _emit_raw(node, out):
-    if isinstance(node, Sym):
-        out.append(Token(TokenKind.SYMBOL, node.chars))
-    elif isinstance(node, Eps):
-        out.append(TOK_EPSILON)
-    elif isinstance(node, Concat):
-        _emit_infix(node.left, _PREC_CONCAT, out)
-        out.append(TOK_CONCAT)
-        _emit_infix(node.right, _PREC_CONCAT, out)
-    elif isinstance(node, Alt):
-        _emit_infix(node.left, _PREC_ALT, out)
-        out.append(TOK_ALT)
-        _emit_infix(node.right, _PREC_ALT, out)
-    elif isinstance(node, Star):
-        _emit_infix(node.inner, _PREC_STAR, out)
-        out.append(TOK_STAR)
-    else:
-        raise TypeError(f"unknown node {node!r}")
+        rest = _Piece(_operand(piece, _PREC_STAR) + [TOK_STAR], _PREC_STAR,
+                      piece.size if piece else 1)
+    elif piece is None:  # ε|ε|…|ε, with n-m alternations
+        rest = _join([None] * (n - m + 1), TOK_ALT)
+    elif n > m:  # the innermost X stands under '|', which binds loosest of all
+        k, size = n - m, _bounded((piece.size + 1) * (n - m))
+        head = _operand(piece, _PREC_CONCAT) + [TOK_CONCAT, TOK_LPAREN]
+        rest = _Piece(head * (k - 1) + piece.tokens + [TOK_ALT, TOK_EPSILON]
+                      + [TOK_RPAREN, TOK_ALT, TOK_EPSILON] * (k - 1), _PREC_ALT, size)
+    return _join([piece] * m + [rest], TOK_CONCAT)
 
 
 # ---------------------------------------------------------------------------
@@ -539,22 +536,22 @@ def parse(raw: RawPattern | str) -> NormalizedExpr:
     rejected exactly as `re.compile` would.  Returns an infix token stream
     with explicit '&' concatenation and all metacharacters, classes and
     repetitions expanded.  Strippable features are removed and recorded;
-    backreferences raise UnsupportedFeature.
+    backreferences raise UnsupportedFeature, and a pattern of more than
+    MAX_SYMBOLS operands after expansion raises PatternSyntaxError.
     """
     text = raw.text if isinstance(raw, RawPattern) else raw
     if not text:
         raise PatternSyntaxError("empty pattern")
     stripped = []
-    try:  # parsing, lowering and emitting recurse once per nesting level and atom
+    try:  # parsing and lowering recurse once per level of re's nesting
         tree = _host(_sre.parse, text)
-        if tree.state.flags & ~_sre.SRE_FLAG_UNICODE:
+        if tree.state.flags & ~_EXACT_FLAGS:
             stripped.append("flag")
-        tokens = []
-        _emit_raw(_lower(tree, stripped), tokens)
+        piece = _lower(tree, stripped)
     except RecursionError:
         raise PatternSyntaxError(_TOO_DEEP) from None
     return NormalizedExpr(
-        tokens=tuple(tokens),
+        tokens=tuple(piece.tokens) if piece else (TOK_EPSILON,),
         approximate=bool(stripped),
         stripped_features=tuple(stripped),
     )

@@ -184,12 +184,9 @@ def _includes_in_group(ids, compiled):
     each other, and everything else is decided once per distinct pattern.
     All patterns of the group share one partition alphabet, so each one's
     complete DFA and its complement are built once and reused across all of
-    its pairs.  A pattern's characters are the blocks on the steps between
-    live states of its DFA: every state is reachable, so these are the
-    blocks on the strings it matches, and a label behind an empty class adds
-    none.  Every verdict is an exact language inclusion, so a pair that known
-    verdicts already decide through a third pattern k is inferred instead of
-    searched.
+    its pairs.  A pattern's characters are its DFA's `char_blocks`.  Every
+    verdict is an exact language inclusion, so a pair that known verdicts
+    already decide through a third pattern k is inferred instead of searched.
     """
     bits = automata._members  # the positions of a mask's set bits, lowest first
     shared = {}  # id(pattern) -> (pattern, the ids of the rules that use it)
@@ -204,12 +201,10 @@ def _includes_in_group(ids, compiled):
     # passes the Σ gate under pattern i, a necessary condition cheaper than
     # the product, when it uses no block outside i's characters.
     users = [0] * len(dfas[0].alphabet)
-    chars = []  # per pattern, one bit per block it has a character in
-    for j, dfa in enumerate(dfas):
-        blocks = {b for steps in dfa.live_steps for b, _ in steps}
-        for b in blocks:
+    chars = [dfa.char_blocks for dfa in dfas]
+    for j, mask in enumerate(chars):
+        for b in bits(mask):
             users[b] |= 1 << j
-        chars.append(sum(1 << b for b in blocks))
     every_block = (1 << len(users)) - 1
     everyone = (1 << n) - 1
     # Bitsets over positions: bit j of inc[i] (and bit i of sup[j]) when

@@ -1,5 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -58,11 +63,32 @@ class TestCheck:
         assert code == 2
         assert "too deeply nested" in err and "Traceback" not in err
 
+    def test_nested_repeat_over_the_size_bound_exits_two_at_once(self, capsys):
+        # 20,100 operands once expanded: refused before the automata are built.
+        start = time.perf_counter()
+        code, _, err = run(capsys, "check", "((a|b){0,100}){0,100}", "a")
+        assert code == 2 and "20100 symbols after expansion exceed" in err
+        assert time.perf_counter() - start < 2
+
+    def test_long_literal_checks(self, capsys):
+        code, out, err = run(capsys, "check", "a" * 1000, "a+")
+        assert code == 0
+        assert "included: True" in out and err == ""
+
+    def test_sigma_gate_reads_the_languages(self, capsys):
+        # The superset's label b is behind an empty class, so it adds no
+        # character: both sides match only 'a'.
+        code, out, _ = run(capsys, "check", r"a|[^\x00-\U0010ffff]b", "a")
+        assert code == 0
+        assert "Σ-gate: pass" in out and "included: True" in out
+        code, out, _ = run(capsys, "check", "--json", r"a|[^\x00-\U0010ffff]b", "a")
+        assert json.loads(out)["sigma_subset"] is True
+
     @pytest.mark.parametrize("pattern", [r"(x(\d{0,200})y){0,3}", "(a|(b|(c|(d|e)))){0,200}",
                                          r"(\d{1,100}){1,3}"])
     def test_deep_bounded_repeats_still_check(self, capsys, pattern):
-        # Each optional level is two AST levels deep; these stay within the
-        # default recursion limit.
+        # Hundreds of nested optionals, each a level of parentheses in the
+        # infix tokens, and within MAX_SYMBOLS.
         code, _, err = run(capsys, "check", pattern, pattern)
         assert code == 0 and err == ""
 
@@ -197,6 +223,20 @@ class TestReduce:
                            "--out", str(tmp_path / "r.json"))
         assert code == 2
         assert "error: line 1:" in err
+
+    def test_error_is_one_stderr_line(self, tmp_path):
+        # In a process of its own, so that stderr is what the logging set-up
+        # of `main` writes there, not what the test's log capture takes.
+        rules_path = tmp_path / "rules.jsonl"
+        rules_path.write_text("[1]\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "rexincl.cli", "reduce", "--rules",
+                               str(rules_path), "--out", str(tmp_path / "r.json")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: line 1: not a JSON object"]
 
     @pytest.mark.parametrize("command", ["reduce", "extract"])
     @pytest.mark.parametrize("field, value", [("apa", "no"), ("statistic_type", 5), ("id", 3.9),

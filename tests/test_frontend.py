@@ -1,5 +1,6 @@
 import itertools
 import re
+import time
 import warnings
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from rexincl.errors import MalformedExpression, PatternSyntaxError, UnsupportedFeature
 from rexincl.frontend import (
     MAX_CODE,
+    MAX_SYMBOLS,
     TokenKind,
     charset,
     charset_contains,
@@ -82,6 +84,19 @@ class TestParse:
         assert expr.approximate
         assert "flag" in expr.stripped_features
 
+    @pytest.mark.parametrize("verbose, plain", [("(?x)a b", "ab"), ("(?x:a b)c", "abc"),
+                                                ("(?x)a(?-x: )b", "a b")])
+    def test_verbose_flag_is_exact(self, verbose, plain):
+        # VERBOSE only changes how re reads the text into its tree.
+        expr = parse(verbose)
+        assert not expr.approximate
+        assert expr.tokens == parse(plain).tokens
+
+    @pytest.mark.parametrize("pattern", ["(?i)a", "(?s).", r"(?a)\d", "(?m)a", "(?i:a)b",
+                                         "(?x)(?i)a b"])
+    def test_other_flags_stay_approximate(self, pattern):
+        assert parse(pattern).stripped_features == ("flag",)
+
     def test_named_group_is_plain_group(self):
         expr = parse(r"(?P<df>\d+)")
         assert not expr.approximate
@@ -111,6 +126,13 @@ class TestParse:
         assert str(parse("a{1,3}")) == "a&(a&(a|ε)|ε)"
         assert str(parse("a{2}")) == "a&a"
         assert str(parse("a{0,0}b")) == "b"
+        assert str(parse("(a|b){1,3}")) == "[ab]&([ab]&([ab]|ε)|ε)"
+        assert str(parse("(ab){0,2}")) == "a&b&(a&b|ε)|ε"
+        # The innermost X stands under '|' bare; the others are parenthesized.
+        assert str(parse("(?:a|b|){0,3}c")) == "((a|b|ε)&((a|b|ε)&(a|b|ε|ε)|ε)|ε)&c"
+        assert str(parse("(?:){2,4}")) == "ε|ε|ε"
+        assert str(parse("(?:)*")) == "ε*"
+        assert str(parse("a()b")) == "a&b"
 
     def test_unbounded_lower_bound(self):
         assert lang("a{2,}", "a", 4) == {"aa", "aaa", "aaaa"}
@@ -186,6 +208,32 @@ class TestParse:
     def test_explicit_concat_operator(self):
         ast = postfix_to_ast(to_postfix(parse_formal("a&b")))
         assert enumerate_language(ast, "ab", 3).accepted == {"ab"}
+
+
+class TestSizeBound:
+    @pytest.mark.parametrize("n", [1000, MAX_SYMBOLS - 1, MAX_SYMBOLS])
+    def test_long_literal_parses(self, n):
+        assert len(parse("a" * n).tokens) == 2 * n - 1
+
+    def test_longer_literal_refused(self):
+        with pytest.raises(PatternSyntaxError, match="^pattern too long or too deeply nested: "
+                                                     "4001 symbols after expansion exceed 4000$"):
+            parse("a" * (MAX_SYMBOLS + 1))
+
+    def test_bound_does_not_depend_on_the_stack(self):
+        def deep(k):
+            return deep(k - 1) if k else parse(r"\d{1,200}")
+
+        assert deep(400).tokens == parse(r"\d{1,200}").tokens
+
+    @pytest.mark.parametrize("pattern, size", [("((a|b){0,100}){0,100}", 20100),
+                                               ("((a|b){0,200}){0,200}", 80200)])
+    def test_nested_repeat_refused_before_it_is_built(self, pattern, size):
+        # 100 optionals of (a|b){0,100}, 200 operands each, and an ε apiece.
+        start = time.perf_counter()
+        with pytest.raises(PatternSyntaxError, match=f"nested: {size} symbols after expansion"):
+            parse(pattern)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestParseFormal:

@@ -228,6 +228,13 @@ class TestComputeInclusions:
         assert set(report.skipped) == {0, 1}
         assert "too long or too deeply nested" in report.skipped[0]
 
+    def test_long_literal_rule_compared(self):
+        # A concatenation of 1,000 symbols is within MAX_SYMBOLS, however
+        # long its run of '&'.
+        report = compute_inclusions([neg(0, "a" * 1000), neg(1, "a+")])
+        assert report.skipped == {}
+        assert report.includes == {0: [], 1: [0]} and report.removed == {0}
+
     def test_ampersand_is_a_literal(self):
         # '&' is a literal character to the engine, so "See RD 5 here" is
         # rejected by rule 1 only; removing it would leave the sentence unmatched.
