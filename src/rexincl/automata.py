@@ -204,12 +204,12 @@ class Dfa:
 
 @dataclass(frozen=True)
 class InclusionVerdict:
-    included: bool
-    witness: str | None = None
+    witness: str | None = None  # a string the candidate matches and the superset does not
     flagged_approximate: bool = False
 
-    def __post_init__(self):
-        assert (self.witness is not None) == (not self.included)
+    @property
+    def included(self):
+        return self.witness is None
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +412,8 @@ def inclusion(superset_complement: Dfa, candidate: Dfa) -> InclusionVerdict:
     """
     found = _counterexample(superset_complement, candidate)
     if found is None:
-        return InclusionVerdict(included=True)
-    return InclusionVerdict(included=False, witness=_witness_from(*found, candidate.alphabet))
+        return InclusionVerdict()
+    return InclusionVerdict(witness=_witness_from(*found, candidate.alphabet))
 
 
 def _counterexample(superset_complement: Dfa, candidate: Dfa):
@@ -470,13 +470,13 @@ def inclusion_unoptimized(a1: Dfa, a2: Dfa) -> InclusionVerdict:
         pair = queue[i]
         i += 1
         if pair in goal:
-            return InclusionVerdict(included=False, witness=_witness_from(pred, pair, alphabet))
+            return InclusionVerdict(witness=_witness_from(pred, pair, alphabet))
         for block in range(len(alphabet)):
             nxt = product_trans[(pair, block)]
             if nxt not in pred:
                 pred[nxt] = (pair, block)
                 queue.append(nxt)
-    return InclusionVerdict(included=True)
+    return InclusionVerdict()
 
 
 def alphabet_subset(candidate: Nfa, superset: Nfa) -> bool:
@@ -513,8 +513,8 @@ def compile_pattern(pattern: str | RawPattern) -> CompiledPattern:
 
 
 def compile_postfix(prog: PostfixProgram) -> CompiledPattern:
-    expr = NormalizedExpr(tokens=prog.tokens, approximate=False, stripped_features=())
-    return CompiledPattern(pattern=str(prog), expr=expr, postfix=prog, nfa=thompson(prog))
+    return CompiledPattern(pattern=str(prog), expr=NormalizedExpr(prog.tokens), postfix=prog,
+                           nfa=thompson(prog))
 
 
 def completed_dfas(patterns) -> list[Dfa]:

@@ -35,7 +35,7 @@ class DuplicateId(RexinclError):
 
 
 class BoundExceeded(RexinclError):
-    """Oracle enumeration guards (alphabet size, max length) were violated."""
+    """Oracle guards (alphabet size, max length, tree depth) were violated."""
 
 
 class OutcomeMismatch(RexinclError):

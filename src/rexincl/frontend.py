@@ -36,9 +36,6 @@ except ImportError:  # Python 3.10
 
 EPSILON_CHAR = "ε"  # the empty string in the formal notation
 
-# X{m,n} is lowered to n copies of X, and X{m,} to m + 1; refuse bounds that
-# would produce absurd token counts.
-MAX_REPEAT = 200
 # The most operands (symbols and ε, which the shunting-yard reads as Σ) a
 # pattern may have once expanded; it bounds everything built from a pattern.
 MAX_SYMBOLS = 4000
@@ -353,8 +350,11 @@ class RawPattern:
 @dataclass(frozen=True)
 class NormalizedExpr:
     tokens: tuple[Token, ...]
-    approximate: bool
-    stripped_features: tuple[str, ...]
+    stripped_features: tuple[str, ...] = ()
+
+    @property
+    def approximate(self):
+        return bool(self.stripped_features)
 
     def __str__(self):
         return "".join(token_str(t) for t in self.tokens)
@@ -465,8 +465,6 @@ def _lower_item(op, av, stripped) -> _Piece | None:
     if op in (_sre.MAX_REPEAT, _sre.MIN_REPEAT):  # a lazy repeat reads as greedy
         m, n, body = av
         n = None if n == _sre.MAXREPEAT else n
-        if max(m, n or 0) > MAX_REPEAT:
-            raise PatternSyntaxError(f"repetition bound {max(m, n or 0)} exceeds {MAX_REPEAT}")
         return _repeat(_lower(body, stripped), m, n)
     if op is _sre.AT:
         stripped.append("anchor")
@@ -510,18 +508,20 @@ def _char_class(items) -> tuple:
 def _repeat(piece, m, n):
     """X{m,n} as m copies of X followed by n-m nested optionals,
     X&(X&(X|ε)|ε)|ε when n-m = 3, so that its size is linear in n; X{m,} as
-    m copies of X followed by X*.  The optionals are counted before built."""
+    m copies of X followed by X*.  The whole repeat is counted, ε as one
+    operand, before any of it is built."""
+    size = piece.size if piece else 1
+    _bounded(size * m + (size if n is None else (size + 1) * (n - m)))
     rest = None
     if n is None:
-        rest = _Piece(_operand(piece, _PREC_STAR) + [TOK_STAR], _PREC_STAR,
-                      piece.size if piece else 1)
+        rest = _Piece(_operand(piece, _PREC_STAR) + [TOK_STAR], _PREC_STAR, size)
     elif piece is None:  # ε|ε|…|ε, with n-m alternations
         rest = _join([None] * (n - m + 1), TOK_ALT)
     elif n > m:  # the innermost X stands under '|', which binds loosest of all
-        k, size = n - m, _bounded((piece.size + 1) * (n - m))
+        k = n - m
         head = _operand(piece, _PREC_CONCAT) + [TOK_CONCAT, TOK_LPAREN]
         rest = _Piece(head * (k - 1) + piece.tokens + [TOK_ALT, TOK_EPSILON]
-                      + [TOK_RPAREN, TOK_ALT, TOK_EPSILON] * (k - 1), _PREC_ALT, size)
+                      + [TOK_RPAREN, TOK_ALT, TOK_EPSILON] * (k - 1), _PREC_ALT, (size + 1) * k)
     return _join([piece] * m + [rest], TOK_CONCAT)
 
 
@@ -532,12 +532,14 @@ def _repeat(piece, m, n):
 def parse(raw: RawPattern | str) -> NormalizedExpr:
     """Expand a rule pattern into the five formal constructs.
 
-    The pattern is read by the host `re` parser, so it is accepted or
-    rejected exactly as `re.compile` would.  Returns an infix token stream
-    with explicit '&' concatenation and all metacharacters, classes and
-    repetitions expanded.  Strippable features are removed and recorded;
-    backreferences raise UnsupportedFeature, and a pattern of more than
-    MAX_SYMBOLS operands after expansion raises PatternSyntaxError.
+    The pattern is read by the host `re` parser.  Returns an infix token
+    stream with explicit '&' concatenation and all metacharacters, classes
+    and repetitions expanded.  Strippable features are removed and recorded.
+    Refused are: a pattern `re` rejects, the empty pattern, one of more than
+    MAX_SYMBOLS operands after expansion and one nested too deeply for the
+    stack, each with PatternSyntaxError; backreferences, atomic groups,
+    possessive repeats and the other non-regular constructs, with
+    UnsupportedFeature.
     """
     text = raw.text if isinstance(raw, RawPattern) else raw
     if not text:
@@ -550,11 +552,7 @@ def parse(raw: RawPattern | str) -> NormalizedExpr:
         piece = _lower(tree, stripped)
     except RecursionError:
         raise PatternSyntaxError(_TOO_DEEP) from None
-    return NormalizedExpr(
-        tokens=tuple(piece.tokens) if piece else (TOK_EPSILON,),
-        approximate=bool(stripped),
-        stripped_features=tuple(stripped),
-    )
+    return NormalizedExpr(tuple(piece.tokens) if piece else (TOK_EPSILON,), tuple(stripped))
 
 
 def parse_formal(text: str) -> NormalizedExpr:
@@ -574,7 +572,7 @@ def parse_formal(text: str) -> NormalizedExpr:
         operand = tok.kind not in (TokenKind.CONCAT, TokenKind.ALT, TokenKind.LPAREN)
     if not operand or depth:
         raise PatternSyntaxError("incomplete formal expression")
-    return NormalizedExpr(tokens=tuple(tokens), approximate=False, stripped_features=())
+    return NormalizedExpr(tuple(tokens))
 
 
 # The token kinds, bound once so that the per-token loops compare them by

@@ -28,7 +28,8 @@ def ast_match(ast: RegexAst, s: str) -> bool:
 
     Recursive set-of-end-positions matching: match(node, i) is the set of j
     such that node matches s[i:j].  Exponential in principle, fine at desk
-    scale, and entirely automata-free.
+    scale, and entirely automata-free.  It recurses once per level of the
+    tree, so a tree too deep for the stack raises BoundExceeded.
     """
     memo = {}
 
@@ -64,7 +65,10 @@ def ast_match(ast: RegexAst, s: str) -> bool:
         memo[key] = result
         return result
 
-    return len(s) in positions(ast, 0)
+    try:
+        return len(s) in positions(ast, 0)
+    except RecursionError:
+        raise BoundExceeded("expression too deeply nested to match") from None
 
 
 def alphabet_of(*asts: RegexAst) -> str:

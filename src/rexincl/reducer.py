@@ -334,8 +334,3 @@ def analyze_patterns(rules) -> dict:
             if hit:
                 counts[tag] += 1
     return counts
-
-
-def rule_tags(rule: Rule) -> set:
-    """Idiom tags for a single rule (used by the tests)."""
-    return {tag for tag, n in analyze_patterns([rule]).items() if n}

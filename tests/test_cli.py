@@ -58,6 +58,11 @@ class TestCheck:
         assert code == 0
         assert "included: True" in out and err == ""
 
+    def test_bound_above_two_hundred_checks(self, capsys):
+        code, out, err = run(capsys, "check", r"\d{1,500}", r"\d+")
+        assert code == 0
+        assert "included: True" in out and err == ""
+
     def test_doubly_nested_bounded_repeat_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "((a|b){0,200}){0,200}", "a")
         assert code == 2
@@ -426,6 +431,13 @@ class TestOracleVerify:
         code, _, err = run(capsys, "oracle-verify", "--left", left, "--right", "a")
         assert code == 2
         assert "exceeds" in err
+
+    def test_tree_too_deep_for_the_matcher_exits_two(self, capsys):
+        # The oracle's matcher recurses once per level of a 1,000-level tree.
+        code, out, err = run(capsys, "oracle-verify", "--left", "a" * 1000, "--right", "a",
+                             "--max-len", "2")
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_negative_max_len_exits_two(self, capsys):
         code, out, err = run(capsys, "oracle-verify", "--left", "a", "--right", "b",

@@ -227,13 +227,31 @@ class TestSizeBound:
         assert deep(400).tokens == parse(r"\d{1,200}").tokens
 
     @pytest.mark.parametrize("pattern, size", [("((a|b){0,100}){0,100}", 20100),
-                                               ("((a|b){0,200}){0,200}", 80200)])
+                                               ("((a|b){0,200}){0,200}", 80200),
+                                               ("a{4294967294}", 4294967294),
+                                               ("a{4294967294,}", 4294967295),
+                                               ("(?:){4294967294}", 4294967294),
+                                               ("(?:){0,4294967294}", 8589934588)])
     def test_nested_repeat_refused_before_it_is_built(self, pattern, size):
         # 100 optionals of (a|b){0,100}, 200 operands each, and an ε apiece.
+        # re accepts bounds up to 4294967294; a repeat is counted, ε as one
+        # operand, before any list of its copies is asked for.
         start = time.perf_counter()
         with pytest.raises(PatternSyntaxError, match=f"nested: {size} symbols after expansion"):
             parse(pattern)
         assert time.perf_counter() - start < 0.1
+
+
+    def test_repeat_is_bounded_like_the_literal(self):
+        # One bound for every pattern: a{4000} is the 4,000 operands of its
+        # spelled-out literal, and \d{1,500}, at 999, is within it too.
+        assert parse("a{4000}").tokens == parse("a" * MAX_SYMBOLS).tokens
+        assert sum(tok.kind is TokenKind.SYMBOL for tok in parse(r"\d{1,500}").tokens) == 500
+        with pytest.raises(PatternSyntaxError) as literal:
+            parse("a" * (MAX_SYMBOLS + 1))
+        with pytest.raises(PatternSyntaxError) as repeat:
+            parse("a{4001}")
+        assert str(repeat.value) == str(literal.value)
 
 
 class TestParseFormal:
