@@ -8,7 +8,8 @@ constructs: symbols (carried as character *sets* of code-point intervals,
 not expanded to alternations), the empty string, concatenation ('&'),
 alternation ('|') and the Kleene star.  Features that cannot be represented
 exactly (anchors, lookarounds, inline flags other than VERBOSE) are stripped
-and recorded so downstream consumers can flag results as approximate.
+and recorded so downstream consumers can flag results as approximate.  A
+lookaround's body is not read: `re.compile` alone judges look-behind widths.
 Backreferences and other non-regular constructs are rejected, and so is a
 pattern of more than MAX_SYMBOLS operands once its repetitions are expanded.
 
@@ -469,12 +470,7 @@ def _lower_item(op, av, stripped) -> _Piece | None:
     if op is _sre.AT:
         stripped.append("anchor")
         return None
-    if op in (_sre.ASSERT, _sre.ASSERT_NOT):
-        direction, body = av
-        lo, hi = body.getwidth()
-        if direction < 0 and lo != hi:  # re rejects this when compiling
-            raise PatternSyntaxError("look-behind requires fixed-width pattern")
-        _lower(body, stripped)  # checked like the rest, then dropped
+    if op in (_sre.ASSERT, _sre.ASSERT_NOT):  # dropped unread; `parse` has re judge it
         stripped.append("lookaround")
         return None
     if op in (_sre.GROUPREF, _sre.GROUPREF_EXISTS):
@@ -534,12 +530,13 @@ def parse(raw: RawPattern | str) -> NormalizedExpr:
 
     The pattern is read by the host `re` parser.  Returns an infix token
     stream with explicit '&' concatenation and all metacharacters, classes
-    and repetitions expanded.  Strippable features are removed and recorded.
-    Refused are: a pattern `re` rejects, the empty pattern, one of more than
-    MAX_SYMBOLS operands after expansion and one nested too deeply for the
-    stack, each with PatternSyntaxError; backreferences, atomic groups,
-    possessive repeats and the other non-regular constructs, with
-    UnsupportedFeature.
+    and repetitions expanded.  Strippable features are removed and recorded;
+    a lookaround's body is not read, but a pattern with one is also compiled
+    by `re`, the only judge of look-behind widths.  Refused are: a pattern
+    `re` rejects, the empty pattern, one of more than MAX_SYMBOLS operands
+    after expansion and one nested too deeply for the stack, each with
+    PatternSyntaxError; backreferences, atomic groups, possessive repeats
+    and the other non-regular constructs, with UnsupportedFeature.
     """
     text = raw.text if isinstance(raw, RawPattern) else raw
     if not text:
@@ -552,6 +549,8 @@ def parse(raw: RawPattern | str) -> NormalizedExpr:
         piece = _lower(tree, stripped)
     except RecursionError:
         raise PatternSyntaxError(_TOO_DEEP) from None
+    if "lookaround" in stripped:  # re's compiler alone decides look-behind widths
+        _host(re.compile, text)
     return NormalizedExpr(tuple(piece.tokens) if piece else (TOK_EPSILON,), tuple(stripped))
 
 
@@ -605,17 +604,18 @@ def _sya(tokens, trace: list[TraceRow] | None = None):
         """Append a trace row.  `regarded` is a token or None; `reason` may
         name it as {t} and the top operator as {top}.  Called only when a
         trace was asked for."""
-        t = token_str(regarded) if regarded is not None else "-"
-        top = token_str(ops[-1][1]) if ops else ""
+        t = shown[id(regarded)] if regarded is not None else "-"
+        top = shown[id(ops[-1][1])] if ops else ""
         trace.append(TraceRow(
-            remaining="".join(token_str(x) for x in tokens[unread:]) or "-",
+            remaining="".join([shown[id(x)] for x in tokens[unread:]]) or "-",
             regarded=t,
-            op_stack="".join(token_str(x) for _, x in ops) or "-",
-            output_stack="".join(token_str(x) for x in out) or "-",
+            op_stack="".join([shown[id(x)] for _, x in ops]) or "-",
+            output_stack="".join([shown[id(x)] for x in out]) or "-",
             reason=reason.format(t=t, top=top),
         ))
 
     if tracing:
+        shown = {id(tok): token_str(tok) for tok in tokens}  # each token rendered once
         row(None, "-")
     for tok in tokens:
         unread += 1

@@ -10,6 +10,7 @@ import pytest
 
 import extract_fixture as efx
 import ruleset_fixture as rfx
+from bench_rules import bench_rule_set
 from rexincl import cli
 from rexincl.reducer import save_rules
 
@@ -18,6 +19,13 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _src_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 class TestCheck:
@@ -234,14 +242,52 @@ class TestReduce:
         # of `main` writes there, not what the test's log capture takes.
         rules_path = tmp_path / "rules.jsonl"
         rules_path.write_text("[1]\n")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-m", "rexincl.cli", "reduce", "--rules",
                                str(rules_path), "--out", str(tmp_path / "r.json")],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=_src_env(), timeout=60)
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == ["error: line 1: not a JSON object"]
+
+    def test_polarity_reduces_that_polarity_alone(self, capsys, tmp_path):
+        # Rules of one polarity never include the other's, so a one-polarity
+        # report is the two-polarity report restricted to its ids.
+        rules = bench_rule_set(1, 20)
+        rules_path = tmp_path / "rules.jsonl"
+        save_rules(rules, rules_path)
+
+        def reduce_to(polarity):
+            out_path, surv_path = tmp_path / f"{polarity}.json", tmp_path / f"{polarity}.jsonl"
+            code, _, _ = run(capsys, "reduce", "--polarity", polarity, "--rules", str(rules_path),
+                             "--out", str(out_path), "--survivors", str(surv_path))
+            assert code == 0
+            survivors = [json.loads(line)["id"] for line in surv_path.read_text().splitlines()]
+            return json.loads(out_path.read_text()), survivors
+
+        both, _ = reduce_to("both")
+        for polarity, wanted in (("pos", "positive"), ("neg", "negative")):
+            ids = {r.id for r in rules if r.polarity == wanted}
+            report, survivors = reduce_to(polarity)
+            assert {int(i) for i in report["includes"]} == ids
+            assert report["includes"] == {i: inc for i, inc in both["includes"].items()
+                                          if int(i) in ids}
+            for key in ("removed", "needs_review"):
+                assert report[key] == [i for i in both[key] if i in ids]
+            assert report["equivalence_classes"] == [
+                c for c in both["equivalence_classes"] if c[0] in ids]
+            assert survivors == [i for i in both["survivors"] if i in ids]
+
+    def test_verbose_summary_goes_to_stderr(self, tmp_path):
+        # Run in a process of its own, for the logging set-up of `main`:
+        # stdout stays data-only.
+        rules_path = tmp_path / "rules.jsonl"
+        save_rules(rfx.build_rules(), rules_path)
+        proc = subprocess.run([sys.executable, "-m", "rexincl.cli", "-v", "reduce", "--rules",
+                               str(rules_path), "--out", str(tmp_path / "r.json")],
+                              capture_output=True, text=True, env=_src_env(), timeout=60)
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["rules"] == 50
+        assert "INFO rexincl: rules: 50, removed: " in proc.stderr
 
     @pytest.mark.parametrize("command", ["reduce", "extract"])
     @pytest.mark.parametrize("field, value", [("apa", "no"), ("statistic_type", 5), ("id", 3.9),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rexincl import frontend
 from rexincl.errors import MalformedExpression, PatternSyntaxError, UnsupportedFeature
 from rexincl.frontend import (
     MAX_CODE,
@@ -78,6 +79,20 @@ class TestParse:
         expr = parse(r"a(?=b)c")
         assert str(expr) == "a&c"
         assert "lookaround" in expr.stripped_features
+
+    def test_lookaround_body_is_not_read(self):
+        # The body is dropped unread: neither its size nor what it holds counts.
+        expr = parse("(?=a{5000})b")
+        assert expr.tokens == parse("b").tokens
+        assert expr.stripped_features == ("lookaround",)
+        expr = parse(r"(a)(?=\1)b")
+        assert str(expr) == "a&b" and expr.approximate
+        assert parse("(?=^a)b").stripped_features == ("lookaround",)
+
+    @pytest.mark.parametrize("pattern", ["(?=(?<=a|bc))x", "(?<=a|bc)x"])
+    def test_look_behind_width_is_judged_by_re(self, pattern):
+        with pytest.raises(PatternSyntaxError, match="look-behind requires fixed-width pattern"):
+            parse(pattern)
 
     def test_inline_flag_stripped(self):
         expr = parse(r"(?i)abc")
@@ -292,6 +307,14 @@ class TestToPostfix:
         assert [r.regarded for r in trace] == ["-", "a", "-"]
         assert trace[-1].output_stack == "a"
 
+    def test_trace_renders_each_token_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(frontend, "format_charset",
+                            lambda chars: calls.append(chars) or format_charset(chars))
+        expr = parse("a" * 300)
+        shunting_yard_trace(expr)
+        assert 0 < len(calls) <= len(expr.tokens)
+
     def test_trace_reasons(self):
         # An operator that pops one of equal or higher precedence, or meets an
         # opening parenthesis, is "op."; one pushed over a lower one says so.
@@ -372,6 +395,8 @@ def test_class_agrees_with_engine_on_every_code_point(pattern):
 @example("(?<n>a)")
 @example(r"\q")
 @example("a(?i)b")
+@example("(?=(?<=a|bc))x")
+@example("(?=a{5000})b")
 def test_parse_accepts_only_what_re_compiles(pattern):
     """Rules are read by the host parser: whatever `parse` accepts, the
     engine that runs the rules accepts too."""

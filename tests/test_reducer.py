@@ -240,6 +240,15 @@ class TestComputeInclusions:
         assert report.skipped == {}
         assert report.includes == {0: [], 1: [0]} and report.removed == {0}
 
+    def test_lookaround_body_left_to_re(self):
+        # Rule 1's body is dropped unread, so it is compared as approximate;
+        # re rejects the nested look-behind of rule 2.
+        rules = [neg(0, "b"), neg(1, "(?=a{5000})b"), neg(2, "(?=(?<=a|bc))x")]
+        report = compute_inclusions(rules)
+        assert report.skipped == {2: "PatternSyntaxError: look-behind requires fixed-width pattern"}
+        assert report.flagged == {(0, 1), (1, 0)}
+        assert report.needs_review == {1}
+
     def test_ampersand_is_a_literal(self):
         # '&' is a literal character to the engine, so "See RD 5 here" is
         # rejected by rule 1 only; removing it would leave the sentence unmatched.
