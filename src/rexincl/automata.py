@@ -137,30 +137,46 @@ def _members(mask):
 
 @dataclass(frozen=True)
 class Dfa:
-    """Complete DFA over a partition alphabet, as an integer table:
-    `table[q][i]` is the successor of state q on block `alphabet[i]`.  In a
-    `powerset` DFA, a block on which no NFA state of q steps leads to the
-    state of the empty NFA-state set: the non-accepting, absorbing sink."""
+    """Complete DFA over a partition alphabet, with sparse rows:
+    `rows[q]` maps block index i to the successor of state q on block
+    `alphabet[i]`, in block order, for every successor that is not the sink.
+    Every block missing from a row leads to `sink`, a non-accepting state in
+    a `powerset` DFA (the empty NFA-state set) whose own row is empty; `sink`
+    is None when no row misses a block.  `table` is the dense view, for
+    display and reference procedures."""
 
     start: int
     accepting: frozenset
-    table: tuple  # one row (a tuple of ints) per state
+    rows: tuple  # one dict per state: block index -> successor other than the sink
+    sink: int | None
     alphabet: tuple  # disjoint blocks, sorted by lowest code point
 
     @property
     def n_states(self) -> int:
-        return len(self.table)
+        return len(self.rows)
+
+    @cached_property
+    def table(self) -> tuple:
+        """`table[q][i]` is the successor of state q on block `alphabet[i]`,
+        the sink included: one tuple of ints per state."""
+        blocks, sink = range(len(self.alphabet)), self.sink
+        return tuple(tuple(row.get(i, sink) for i in blocks) for row in self.rows)
 
     @cached_property
     def live(self) -> tuple:
         """`live[q]` is true when some string leads from state q to an
-        accepting state; the sink is dead.  A reverse reachability sweep from
-        the accepting states, run once per DFA."""
-        preds = [[] for _ in self.table]
-        for q, row in enumerate(self.table):
-            for dst in set(row):
+        accepting state.  A reverse reachability sweep over the sparse rows
+        from the accepting states, run once per DFA; when the sink accepts,
+        as in a complement, every state whose row misses a block reaches it."""
+        rows = self.rows
+        preds = [[] for _ in rows]
+        for q, row in enumerate(rows):
+            for dst in row.values():
                 preds[dst].append(q)
         live = set(self.accepting)
+        if self.sink in live:
+            n_blocks = len(self.alphabet)
+            live.update(q for q, row in enumerate(rows) if len(row) < n_blocks)
         todo = list(live)
         for q in todo:  # grows while it is walked
             for p in preds[q]:
@@ -173,9 +189,14 @@ class Dfa:
     def live_steps(self) -> tuple:
         """`live_steps[q]` holds (block index, successor) for every live
         successor of state q, in block order; empty when q is dead."""
-        live = self.live
-        return tuple(tuple((i, dst) for i, dst in enumerate(row) if live[dst])
-                     for row in self.table)
+        live, sink = self.live, self.sink
+        if sink is not None and live[sink]:  # a complement: steps into the sink count
+            return tuple(tuple((i, dst) for i, dst in enumerate(row) if live[dst])
+                         for row in self.table)
+        if all(alive or q == sink for q, alive in enumerate(live)):  # every row's steps are live
+            return tuple(tuple(row.items()) for row in self.rows)
+        return tuple(tuple((i, dst) for i, dst in row.items() if live[dst])
+                     for row in self.rows)
 
     @cached_property
     def char_blocks(self) -> int:
@@ -322,10 +343,11 @@ def _determinize(nfa: Nfa, alphabet: tuple, columns: dict) -> Dfa:
 
     A DFA state is an int with one bit per NFA state.  A row ORs, per
     label, the closures of the symbol targets of the members that have a
-    symbol transition, and gives each of the label's blocks that union;
-    rows are numbered breadth-first, and a row's new states in block order.
-    A block no member steps on leads to the empty set, numbered like any
-    other subset, so the table is complete and the empty set is its sink.
+    symbol transition, and gives each of the label's blocks that union, so
+    only the blocks of labels some member steps on get an entry.  Every
+    other block leads to the empty set, the sink, which is numbered like any
+    other subset where the dense table would first meet it: states are
+    numbered breadth-first, and a row's new states in block order.
     """
     closures = _eps_closures(nfa)
     labels = nfa.classes
@@ -338,31 +360,43 @@ def _determinize(nfa: Nfa, alphabet: tuple, columns: dict) -> Dfa:
             step[src].append((label_index[id(label)], closures[dst]))
             stepping |= 1 << src
 
+    n_blocks = len(alphabet)
     start = closures[nfa.start]
     ids = {start: 0}
     order = [start]
-    table = []
+    rows = []
+    sink = None
     for current in order:  # grows while it is walked
-        reach = [0] * len(labels)
+        reach = [0] * len(labels)  # per label, the union of its targets
         for q in _members(current & stepping):
             for k, target in step[q]:
                 reach[k] |= target
-        targets = [0] * len(alphabet)  # per block
+        targets = {}  # block index -> a nonempty subset
         for k, mask in enumerate(reach):
             if mask:
                 for i in blocks[k]:
-                    targets[i] |= mask
-        row = []
-        for nxt in targets:
+                    targets[i] = targets.get(i, 0) | mask
+        row = {}
+        missing = sink is None and len(targets) < n_blocks  # the row numbers the sink
+        for position, i in enumerate(sorted(targets)):
+            if missing and position != i:  # block `position` is the first missed
+                sink = len(order)
+                order.append(0)
+                missing = False
+            nxt = targets[i]
             if nxt not in ids:
                 ids[nxt] = len(order)
                 order.append(nxt)
-            row.append(ids[nxt])
-        table.append(tuple(row))
+            row[i] = ids[nxt]
+        if missing:  # the first missed block is past the last entry
+            sink = len(order)
+            order.append(0)
+        rows.append(row)
     return Dfa(
         start=0,
         accepting=frozenset(i for i, s in enumerate(order) if s >> nfa.accept & 1),
-        table=tuple(table),
+        rows=tuple(rows),
+        sink=sink,
         alphabet=alphabet,
     )
 
@@ -377,7 +411,8 @@ def complete(dfa: Dfa, sigma: tuple) -> Dfa:
 
 def complement(dfa: Dfa) -> Dfa:
     """Swap accepting and non-accepting states.  The complement shares the
-    DFA's table."""
+    DFA's rows and sink, so a `powerset` DFA's complement accepts in its
+    sink and stays there."""
     accepting = frozenset(range(dfa.n_states)) - dfa.accepting
     return replace(dfa, accepting=accepting)
 
@@ -400,26 +435,62 @@ def _witness_from(pred, pair, alphabet):
 
 
 def inclusion(superset_complement: Dfa, candidate: Dfa) -> InclusionVerdict:
-    """Optimized product traversal: breadth-first over pairs of table rows
-    (p, q), failing as soon as a pair is accepting in both automata.
+    """The verdict of `_included`, and for a negative one the witness that
+    `_counterexample` spells.
 
     `superset_complement` must already be the complement of the superset DFA.
-    A doubly-accepting pair means the candidate accepts a string the superset
-    rejects.  Pairs are discovered in the same order as in
-    `inclusion_unoptimized`, so the path to the first one found replays into
-    the same shortest witness: one representative character (lowest code
-    point) per block.
+    The witness search runs only once the verdict is known to be negative.
+    It finds pairs in the same order as `inclusion_unoptimized`, so the path
+    to the first doubly-accepting pair replays into the same shortest
+    witness: one representative character (lowest code point) per block.
     """
-    found = _counterexample(superset_complement, candidate)
-    if found is None:
+    if _included(superset_complement, candidate):
         return InclusionVerdict()
-    return InclusionVerdict(witness=_witness_from(*found, candidate.alphabet))
+    pred, pair = _counterexample(superset_complement, candidate)
+    return InclusionVerdict(witness=_witness_from(pred, pair, candidate.alphabet))
+
+
+def _included(superset_complement: Dfa, candidate: Dfa) -> bool:
+    """Whether the candidate is included: a walk over the product pairs
+    (p, q) reached through the candidate's live steps, which stops at the
+    first pair accepting in both automata.
+
+    A step on a block missing from p's row leads the superset complement
+    into its sink.  When the sink accepts, as in every complement of a
+    `powerset` DFA, it accepts every continuation, and the candidate's
+    successor is live, so a counterexample is certain at that step.
+    """
+    _require_comparable(superset_complement, candidate)
+    sup_rows, sup_acc = superset_complement.rows, superset_complement.accepting
+    sink_accepts = superset_complement.sink in sup_acc
+    cand_steps, cand_acc = candidate.live_steps, candidate.accepting
+    start = (superset_complement.start, candidate.start)
+    if start[0] in sup_acc and start[1] in cand_acc:
+        return False
+    seen = {start}
+    todo = [start]
+    for p, q in todo:  # grows while it is walked
+        sup_row = sup_rows[p]
+        for i, dst in cand_steps[q]:
+            nxt = sup_row.get(i)
+            if nxt is None:
+                if sink_accepts:
+                    return False
+                continue  # the superset complement's sink rejects every continuation
+            pair = (nxt, dst)
+            if pair not in seen:
+                if nxt in sup_acc and dst in cand_acc:
+                    return False
+                seen.add(pair)
+                todo.append(pair)
+    return True
 
 
 def _counterexample(superset_complement: Dfa, candidate: Dfa):
-    """The product search of `inclusion`: the map from each pair found to
-    (its parent, block index) and the first doubly-accepting pair, or None
-    when the candidate is included.
+    """The witness search of `inclusion`: breadth-first over the product
+    pairs, it gives the map from each pair found to (its parent, block
+    index) and the first doubly-accepting pair, or None when the candidate
+    is included.
 
     Pairs whose candidate state is dead are never entered: no
     doubly-accepting pair lies beyond them.  Every predecessor of a live
@@ -427,7 +498,8 @@ def _counterexample(superset_complement: Dfa, candidate: Dfa):
     same parent, in the same order, and the witness does not change.
     """
     _require_comparable(superset_complement, candidate)
-    sup_rows, sup_acc = superset_complement.table, superset_complement.accepting
+    sup_rows, sup_sink = superset_complement.rows, superset_complement.sink
+    sup_acc = superset_complement.accepting
     cand_steps, cand_acc = candidate.live_steps, candidate.accepting
     start = (superset_complement.start, candidate.start)
     pred = {start: None}
@@ -438,7 +510,7 @@ def _counterexample(superset_complement: Dfa, candidate: Dfa):
         p, q = pair
         sup_row = sup_rows[p]
         for i, dst in cand_steps[q]:
-            nxt = (sup_row[i], dst)
+            nxt = (sup_row.get(i, sup_sink), dst)
             if nxt not in pred:
                 pred[nxt] = (pair, i)
                 if nxt[0] in sup_acc and nxt[1] in cand_acc:

@@ -224,7 +224,7 @@ def _includes_in_group(ids, compiled):
             elif sup[i] & nsup[j] or inc[j] & ninc[i]:  # k ⊇ i, k ⊉ j; or j ⊇ k, i ⊉ k
                 included = False
             else:
-                included = automata._counterexample(comp, dfas[j]) is None
+                included = automata._included(comp, dfas[j])
             if included:
                 inc[i] |= 1 << j
                 sup[j] |= 1 << i

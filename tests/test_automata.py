@@ -228,6 +228,49 @@ def test_powerset_is_complete_with_the_empty_set_as_sink():
                     assert q not in dfa.accepting and set(dfa.table[q]) == {q}
 
 
+# A superset without a sink, a label behind an empty class, a pattern whose
+# start is dead although it is not the sink, and the empty string.
+EDGE_PATTERNS = [r"[\x00-\U0010ffff]*", r"a|[^\x00-\U0010ffff]b", r"[^\x00-\U0010ffff]", "()", "a"]
+
+
+def test_full_range_star_has_no_sink():
+    compiled = am.compile_pattern(EDGE_PATTERNS[0])
+    dfa = am.completed_dfas([compiled])[0]
+    assert dfa.sink is None
+    assert (dfa.table, dfa.accepting) == reference_determinize(compiled.nfa, dfa.alphabet)
+
+
+def test_dead_start_is_not_the_sink():
+    dfa = am.completed_dfas([am.compile_pattern(p) for p in EDGE_PATTERNS])[2]
+    assert dfa.live[dfa.start] is False and dfa.start != dfa.sink
+    assert dfa.live_steps == ((), ())
+
+
+def test_decision_walk_matches_reference():
+    # Every ordered pair of each group, over the group's partition: the walk,
+    # which stops where the superset falls into its sink, gives the verdict
+    # of the explicit product.  The explicit product of two bench rules costs
+    # about 8 ms, so a bench rule group gives its first 8 patterns.
+    pairs = 0
+    for patterns in [*pattern_groups(), EDGE_PATTERNS]:
+        dfas = am.completed_dfas([am.compile_pattern(p) for p in patterns[:8]])
+        for sup, cand in itertools.product(dfas, repeat=2):
+            expected = am.inclusion_unoptimized(sup, cand).included
+            assert am._included(am.complement(sup), cand) == expected, patterns
+            pairs += 1
+    assert pairs > 900
+
+
+def test_complemented_sides_match_reference():
+    # The superset of a check may itself be a complement, whose sink rejects,
+    # and so may the candidate, whose steps into its accepting sink are live.
+    dfas = am.completed_dfas([am.compile_pattern(p) for p in [*EDGE_PATTERNS, "ab", "a*b*"]])
+    for sup, cand in itertools.product(dfas, repeat=2):
+        for s, c in ((am.complement(sup), cand), (sup, am.complement(cand)),
+                     (am.complement(sup), am.complement(cand))):
+            assert am.inclusion(am.complement(s), c) == am.inclusion_unoptimized(s, c)
+
+
 class TestComplete:
     def test_idempotent(self):
         sigma = am.partition_classes(sets("a", "b"))
@@ -279,8 +322,8 @@ class TestLiveStates:
     # Over blocks a, b: 0 -a-> 1 -a-> 2 (accepting); 0 -b-> 3, a state that
     # only reaches the sink 4.
     SIGMA = am.partition_classes(sets("a", "b"))
-    DFA = am.Dfa(start=0, accepting=frozenset({2}), table=((1, 3), (2, 4), (4, 4), (4, 4), (4, 4)),
-                 alphabet=SIGMA)
+    DFA = am.Dfa(start=0, accepting=frozenset({2}), rows=({0: 1, 1: 3}, {0: 2}, {}, {}, {}),
+                 sink=4, alphabet=SIGMA)
 
     def test_live_marks_accepting_state_and_its_ancestors(self):
         assert self.DFA.live == (True, True, True, False, False)

@@ -6,7 +6,7 @@ import pytest
 
 import extract_fixture as efx
 import ruleset_fixture as fx
-from bench_rules import bench_rule_set
+from bench_rules import bench_rule_set, load_bench_gen
 from rexincl import automata as am
 from rexincl import oracle as oc
 from rexincl import reducer as rd
@@ -317,9 +317,8 @@ class TestComputeInclusions:
         # rather than searched, must still give the reference relation.
         rules = nested_group(random.Random(seed), 24)
         searches = []
-        counterexample = am._counterexample
-        monkeypatch.setattr(am, "_counterexample",
-                            lambda *a: searches.append(a) or counterexample(*a))
+        included = am._included
+        monkeypatch.setattr(am, "_included", lambda *a: searches.append(a) or included(*a))
         report = compute_inclusions(rules)
         assert report.skipped == {}
         assert report.includes == per_pair_reference(rules)
@@ -335,7 +334,7 @@ class TestComputeInclusions:
         # leaves 9 of the 12 ordered pairs ("a" includes none of the others).
         rules = [neg(0, "a"), neg(1, "a*b*"), neg(2, "[ab]*"), neg(3, "ab")]
         dfas, searched = [], []
-        completed_dfas, counterexample = am.completed_dfas, am._counterexample
+        completed_dfas, included = am.completed_dfas, am._included
 
         def recording_completed_dfas(patterns):
             built = completed_dfas(patterns)
@@ -343,17 +342,33 @@ class TestComputeInclusions:
             return built
 
         def recording_search(comp, cand):
-            searched.append((next(i for i, d in enumerate(dfas) if d.table is comp.table),
+            searched.append((next(i for i, d in enumerate(dfas) if d.rows is comp.rows),
                              next(i for i, d in enumerate(dfas) if d is cand)))
-            return counterexample(comp, cand)
+            return included(comp, cand)
 
         monkeypatch.setattr(am, "completed_dfas", recording_completed_dfas)
-        monkeypatch.setattr(am, "_counterexample", recording_search)
+        monkeypatch.setattr(am, "_included", recording_search)
         report = compute_inclusions(rules)
         assert report.includes == per_pair_reference(rules)
         # Not searched: 2 ⊇ 3 from 2 ⊇ 1 ⊇ 3; 3 ⊉ 1 from 1 ⊇ 0 and 3 ⊉ 0;
         # 3 ⊉ 2 from 1 ⊇ 3 and 1 ⊉ 2.
         assert searched == [(1, 0), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0)]
+
+    def test_decisions_never_read_the_dense_view(self, monkeypatch):
+        # Reductions and checks walk the sparse rows; only display and the
+        # reference procedures build the dense table.
+        def no_table(dfa):
+            raise AssertionError("the dense table was read")
+
+        monkeypatch.setattr(am.Dfa, "table", property(no_table))
+        golden = (FIXTURES / "report_bench.json").read_text()
+        assert compute_inclusions(bench_rule_set(1, 100)).to_json() + "\n" == golden
+        gen = load_bench_gen()
+        for q in gen.check_batch(random.Random(1), 240, 0.1, 200):
+            verdict = am.check_inclusion(q["superset"], q["candidate"])
+            assert verdict.included == q["included"], q
+            w = verdict.witness
+            assert w is None or gen.matches(q, "candidate", w) and not gen.matches(q, "superset", w)
 
     def test_searches_spell_no_witness(self, monkeypatch):
         # The reducer needs only whether a counterexample exists.
@@ -434,19 +449,19 @@ class TestRepeatedTexts:
     def test_same_text_pairs_are_not_searched(self, monkeypatch):
         # Each search is told back to the texts of its two DFAs.
         texts, searched = {}, []
-        completed_dfas, counterexample = am.completed_dfas, am._counterexample
+        completed_dfas, included = am.completed_dfas, am._included
 
         def recording_completed_dfas(patterns):
             built = completed_dfas(patterns)
-            texts.update((id(d.table), p.pattern) for p, d in zip(patterns, built))
+            texts.update((id(d.rows), p.pattern) for p, d in zip(patterns, built))
             return built
 
         def recording_search(comp, cand):
-            searched.append((texts[id(comp.table)], texts[id(cand.table)]))
-            return counterexample(comp, cand)
+            searched.append((texts[id(comp.rows)], texts[id(cand.rows)]))
+            return included(comp, cand)
 
         monkeypatch.setattr(am, "completed_dfas", recording_completed_dfas)
-        monkeypatch.setattr(am, "_counterexample", recording_search)
+        monkeypatch.setattr(am, "_included", recording_search)
         compute_inclusions(self.RULES)
         assert searched
         assert all(sup != cand for sup, cand in searched)
