@@ -143,13 +143,21 @@ class Dfa:
     Every block missing from a row leads to `sink`, a non-accepting state in
     a `powerset` DFA (the empty NFA-state set) whose own row is empty; `sink`
     is None when no row misses a block.  `table` is the dense view, for
-    display and reference procedures."""
+    display and reference procedures.  The rows are dicts, so a Dfa is not
+    hashable; they are shared with its complement and must not be changed."""
 
     start: int
     accepting: frozenset
     rows: tuple  # one dict per state: block index -> successor other than the sink
     sink: int | None
     alphabet: tuple  # disjoint blocks, sorted by lowest code point
+
+    def __post_init__(self):
+        if self.sink is None:
+            if any(len(row) < len(self.alphabet) for row in self.rows):
+                raise ValueError("a row misses a block, but the DFA has no sink")
+        elif self.rows[self.sink]:
+            raise ValueError("the sink's row is not empty")
 
     @property
     def n_states(self) -> int:
@@ -193,8 +201,6 @@ class Dfa:
         if sink is not None and live[sink]:  # a complement: steps into the sink count
             return tuple(tuple((i, dst) for i, dst in enumerate(row) if live[dst])
                          for row in self.table)
-        if all(alive or q == sink for q, alive in enumerate(live)):  # every row's steps are live
-            return tuple(tuple(row.items()) for row in self.rows)
         return tuple(tuple((i, dst) for i, dst in row.items() if live[dst])
                      for row in self.rows)
 
@@ -377,18 +383,16 @@ def _determinize(nfa: Nfa, alphabet: tuple, columns: dict) -> Dfa:
                 for i in blocks[k]:
                     targets[i] = targets.get(i, 0) | mask
         row = {}
-        missing = sink is None and len(targets) < n_blocks  # the row numbers the sink
-        for position, i in enumerate(sorted(targets)):
-            if missing and position != i:  # block `position` is the first missed
+        for i in sorted(targets):
+            if sink is None and i != len(row):  # block len(row) is the first missed
                 sink = len(order)
                 order.append(0)
-                missing = False
             nxt = targets[i]
             if nxt not in ids:
                 ids[nxt] = len(order)
                 order.append(nxt)
             row[i] = ids[nxt]
-        if missing:  # the first missed block is past the last entry
+        if sink is None and len(row) < n_blocks:  # the first missed block is past the last entry
             sink = len(order)
             order.append(0)
         rows.append(row)

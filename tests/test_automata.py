@@ -246,6 +246,19 @@ def test_dead_start_is_not_the_sink():
     assert dfa.live_steps == ((), ())
 
 
+def test_constructor_checks_sink_rules():
+    # Over blocks a, b: a row that misses a block needs a sink, and the sink
+    # leads only to itself.
+    sigma = am.partition_classes(sets("a", "b"))
+    with pytest.raises(ValueError, match="no sink"):
+        am.Dfa(start=0, accepting=frozenset({1}), rows=({0: 1}, {0: 1, 1: 1}), sink=None, alphabet=sigma)
+    with pytest.raises(ValueError, match="sink's row"):
+        am.Dfa(start=0, accepting=frozenset({1}), rows=({0: 1}, {0: 1}), sink=1, alphabet=sigma)
+    dfa = am.Dfa(start=0, accepting=frozenset({1}), rows=({0: 1, 1: 0}, {0: 1, 1: 1}),
+                 sink=None, alphabet=sigma)
+    assert am.complement(dfa).sink is None
+
+
 def test_decision_walk_matches_reference():
     # Every ordered pair of each group, over the group's partition: the walk,
     # which stops where the superset falls into its sink, gives the verdict
