@@ -210,13 +210,6 @@ class Dfa:
         states; as every state is reachable, these are the accepted blocks."""
         return sum(1 << i for i in {i for steps in self.live_steps for i, _ in steps})
 
-    @property
-    def transitions(self) -> dict:
-        """(state, block) -> state for every entry; for display."""
-        return {(q, block): dst
-                for q, row in enumerate(self.table)
-                for block, dst in zip(self.alphabet, row)}
-
     def accepts(self, s: str) -> bool:
         column = {c: next((i for i, block in enumerate(self.alphabet)
                            if frontend.charset_contains(block, c)), None) for c in set(s)}
@@ -232,7 +225,6 @@ class Dfa:
 @dataclass(frozen=True)
 class InclusionVerdict:
     witness: str | None = None  # a string the candidate matches and the superset does not
-    flagged_approximate: bool = False
 
     @property
     def included(self):
@@ -610,8 +602,7 @@ def decide_inclusion(superset: CompiledPattern, candidate: CompiledPattern) -> I
     block on which the superset's DFA goes to its sink, which its complement
     accepts, so no separate Σ gate is needed for the verdict or the witness."""
     sup_dfa, cand_dfa = completed_dfas([superset, candidate])
-    verdict = inclusion(complement(sup_dfa), cand_dfa)
-    return replace(verdict, flagged_approximate=superset.approximate or candidate.approximate)
+    return inclusion(complement(sup_dfa), cand_dfa)
 
 
 def check_inclusion(superset: str, candidate: str) -> InclusionVerdict:
@@ -650,7 +641,8 @@ def dfa_to_dot(dfa: Dfa, name="dfa") -> str:
         shape = "doublecircle" if q in dfa.accepting else "circle"
         lines.append(f"  {q} [shape={shape}];")
     lines.append(f"  hidden -> {dfa.start};")
-    for (src, block), dst in dfa.transitions.items():
-        lines.append(f"  {src} -> {dst} [label={_dot_string(frontend.format_charset(block))}];")
+    for src, row in enumerate(dfa.table):
+        for block, dst in zip(dfa.alphabet, row):
+            lines.append(f"  {src} -> {dst} [label={_dot_string(frontend.format_charset(block))}];")
     lines.append("}")
     return "\n".join(lines)

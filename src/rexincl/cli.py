@@ -90,7 +90,7 @@ def cmd_check(args) -> int:
     sup_dfa, cand_dfa = automata.completed_dfas([sup, cand])
     sigma_ok = not cand_dfa.char_blocks & ~sup_dfa.char_blocks  # the reducer's Σ gate
     verdict = automata.inclusion(automata.complement(sup_dfa), cand_dfa)
-    approximate = sup.approximate or cand.approximate  # as decide_inclusion flags it
+    approximate = sup.approximate or cand.approximate
     if args.json:
         print(json.dumps({
             "candidate": args.candidate,

@@ -76,8 +76,8 @@ class InclusionReport:
 def read_jsonl(path, build):
     """`build(obj)` for every non-blank line of a UTF-8 JSON Lines file, in
     order.  Invalid UTF-8 or JSON, a line that is not a JSON object, and a
-    KeyError, TypeError or ValueError from `build`, raise FormatError with
-    the line number."""
+    KeyError (a missing field), TypeError or ValueError from `build`, raise
+    FormatError with the line number."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -90,7 +90,9 @@ def read_jsonl(path, build):
                 item = build(obj)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"invalid JSON: {exc}", line=lineno) from exc
-            except (KeyError, TypeError, ValueError) as exc:
+            except KeyError as exc:
+                raise FormatError(f"missing field {exc}", line=lineno) from exc
+            except (TypeError, ValueError) as exc:
                 raise FormatError(str(exc), line=lineno) from exc
             yield item
 
@@ -109,9 +111,10 @@ def load_rules(path) -> list[Rule]:
 
 
 def _rule_from_obj(obj) -> Rule:
-    subrules = tuple(
-        (sr["name"], RawPattern(sr["pattern"])) for sr in obj.get("subrules") or ()
-    )
+    subrules = [] if obj.get("subrules") is None else obj["subrules"]
+    if not (isinstance(subrules, list) and all(isinstance(sr, dict) for sr in subrules)):
+        raise TypeError("subrules must be a list of objects with a name and a pattern")
+    subrules = tuple((sr["name"], RawPattern(sr["pattern"])) for sr in subrules)
     return Rule(
         id=obj["id"],
         pattern=RawPattern(obj["pattern"]),
@@ -184,7 +187,9 @@ def _includes_in_group(ids, compiled):
     each other, and everything else is decided once per distinct pattern.
     All patterns of the group share one partition alphabet, so each one's
     complete DFA and its complement are built once and reused across all of
-    its pairs.  A pattern's characters are its DFA's `char_blocks`.  Every
+    its pairs.  A pattern's characters are its DFA's `char_blocks`, and a
+    pair is searched only when the candidate's lie inside the superset's:
+    the Σ gate that `rexincl check` prints, tested pair by pair.  Every
     verdict is an exact language inclusion, so a pair that known verdicts
     already decide through a third pattern k is inferred instead of searched.
     """
@@ -197,28 +202,17 @@ def _includes_in_group(ids, compiled):
     members = [rule_ids for _, rule_ids in shared.values()]
     dfas = automata.completed_dfas(patterns)
     n = len(patterns)
-    # Bit j of users[b] when pattern j has a character in block b.  Pattern j
-    # passes the Σ gate under pattern i, a necessary condition cheaper than
-    # the product, when it uses no block outside i's characters.
-    users = [0] * len(dfas[0].alphabet)
     chars = [dfa.char_blocks for dfa in dfas]
-    for j, mask in enumerate(chars):
-        for b in bits(mask):
-            users[b] |= 1 << j
-    every_block = (1 << len(users)) - 1
-    everyone = (1 << n) - 1
     # Bitsets over positions: bit j of inc[i] (and bit i of sup[j]) when
     # i ⊇ j is known; ninc and nsup likewise when i ⊉ j is known.
     inc, sup, ninc, nsup = ([0] * n for _ in range(4))
     for i in range(n):
-        outside = 0
-        for b in bits(every_block & ~chars[i]):
-            outside |= users[b]
-        gated = everyone & ~outside & ~(1 << i)
-        if not gated:
-            continue
         comp = automata.complement(dfas[i])
-        for j in bits(gated):
+        for j in range(n):
+            # The Σ gate, a necessary condition cheaper than the product:
+            # j uses no block outside i's characters.
+            if j == i or chars[j] & ~chars[i]:
+                continue
             if inc[i] & sup[j]:  # i ⊇ k ⊇ j
                 included = True
             elif sup[i] & nsup[j] or inc[j] & ninc[i]:  # k ⊇ i, k ⊉ j; or j ⊇ k, i ⊉ k

@@ -112,13 +112,6 @@ class TestPowerset:
         for s in all_strings("ab", 4):
             assert dfa.accepts(s) == (len(s) >= 1)
 
-    def test_deterministic(self):
-        dfa = am.powerset(nfa_of("(ab|b)*a"))
-        seen = set()
-        for key in dfa.transitions:
-            assert key not in seen
-            seen.add(key)
-
     def test_alphabet_must_refine_labels(self):
         nfa = nfa_of("[ab]c")
         dfa = am.powerset(nfa, am.partition_classes(sets("a", "b", "c")))

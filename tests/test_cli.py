@@ -237,6 +237,19 @@ class TestReduce:
         assert code == 2
         assert "error: line 1:" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": 1, "polarity": "negative"}', "missing field 'pattern'"),
+        ('{"id": 1, "pattern": "a", "polarity": "positive", "subrules": [5]}',
+         "subrules must be a list of objects with a name and a pattern"),
+    ], ids=["missing_pattern", "subrules_not_objects"])
+    def test_bad_rule_line_names_the_problem(self, capsys, tmp_path, line, message):
+        rules_path = tmp_path / "rules.jsonl"
+        rules_path.write_text(line + "\n")
+        code, _, err = run(capsys, "reduce", "--rules", str(rules_path),
+                           "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert err.splitlines() == [f"error: line 1: {message}"]
+
     def test_error_is_one_stderr_line(self, tmp_path):
         # In a process of its own, so that stderr is what the logging set-up
         # of `main` writes there, not what the test's log capture takes.

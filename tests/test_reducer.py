@@ -109,6 +109,33 @@ class TestLoadSave:
         with pytest.raises(FormatError) as exc:
             load_rules(path)
         assert exc.value.line == 1
+        assert str(exc.value) == "line 1: missing field 'pattern'"
+
+    @pytest.mark.parametrize("load, line, field", [
+        (load_rules, {"id": 1, "pattern": "a", "polarity": "positive", "subrules": [{"name": "x"}]},
+         "pattern"),
+        (load_corpus, {"text": "a 1."}, "doc_id"),
+    ], ids=["subrule_pattern", "corpus_doc_id"])
+    def test_missing_field_is_named(self, tmp_path, load, line, field):
+        path = tmp_path / "in.jsonl"
+        path.write_text(f"\n{json.dumps(line)}\n")
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert exc.value.line == 2
+        assert str(exc.value) == f"line 2: missing field '{field}'"
+
+    @pytest.mark.parametrize("subrules", ["ab", "", {"x": 1}, [5], [{"name": "x", "pattern": "a"}, "b"]],
+                             ids=["string", "empty_string", "object", "list_of_ints",
+                                  "one_not_an_object"])
+    def test_subrules_not_a_list_of_objects_reports_line(self, tmp_path, subrules):
+        path = tmp_path / "rules.jsonl"
+        good = {"id": 0, "pattern": "a", "polarity": "positive"}
+        path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, 'id': 1, 'subrules': subrules})}\n")
+        with pytest.raises(FormatError) as exc:
+            load_rules(path)
+        assert exc.value.line == 2
+        assert str(exc.value) == ("line 2: subrules must be a list of objects "
+                                  "with a name and a pattern")
 
     @pytest.mark.parametrize("line", ["[1]", "5", '"x"', "null"])
     @pytest.mark.parametrize("load", [load_rules, load_corpus], ids=["rules", "corpus"])
@@ -369,6 +396,16 @@ class TestComputeInclusions:
             assert verdict.included == q["included"], q
             w = verdict.witness
             assert w is None or gen.matches(q, "candidate", w) and not gen.matches(q, "superset", w)
+
+    @pytest.mark.parametrize("seed, searches", [(1, 680), (2, 684), (3, 719)])
+    def test_decision_walk_count_is_pinned(self, seed, searches, monkeypatch):
+        # A weaker Σ gate or weaker inference leaves every report the same and
+        # only searches more pairs: dropping the gate gives 6,266 at seed 1.
+        calls = []
+        included = am._included
+        monkeypatch.setattr(am, "_included", lambda *a: calls.append(1) or included(*a))
+        compute_inclusions(bench_rule_set(seed, 100))
+        assert len(calls) == searches
 
     def test_searches_spell_no_witness(self, monkeypatch):
         # The reducer needs only whether a counterexample exists.
