@@ -33,17 +33,15 @@ from .frontend import (
     NormalizedExpr,
     PostfixProgram,
     RawPattern,
-    RegexAst,
     Token,
     TokenKind,
     parse,
     parse_formal,
     parse_postfix,
-    postfix_to_ast,
     shunting_yard_trace,
     to_postfix,
 )
-from .oracle import LanguageSample, ast_match, enumerate_language, verify_inclusion
+from .oracle import enumerate_language, verify_inclusion
 from .reducer import (
     InclusionReport,
     Rule,

@@ -117,11 +117,6 @@ def charset_min(cs) -> str:
     return chr(cs[0][0])
 
 
-def charset_chars(cs) -> str:
-    """Every character of the set, in code-point order; for small sets."""
-    return "".join(chr(c) for lo, hi in cs for c in range(lo, hi + 1))
-
-
 def format_charset(chars) -> str:
     """Spell a character set as `re` reads it back.  A set `re` has a name
     for is spelled by it: '\\d', '\\W', '.', and the empty set as
@@ -279,61 +274,6 @@ def token_str(tok: Token) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Formal AST
-# ---------------------------------------------------------------------------
-# The oracle's reference representation, built by `postfix_to_ast`.
-
-class RegexAst:
-    pass
-
-
-@dataclass(frozen=True)
-class Sym(RegexAst):
-    chars: tuple  # a character set
-
-
-@dataclass(frozen=True)
-class Eps(RegexAst):
-    pass
-
-
-@dataclass(frozen=True)
-class Concat(RegexAst):
-    left: RegexAst
-    right: RegexAst
-
-
-@dataclass(frozen=True)
-class Alt(RegexAst):
-    left: RegexAst
-    right: RegexAst
-
-
-@dataclass(frozen=True)
-class Star(RegexAst):
-    inner: RegexAst
-
-
-EPS = Eps()
-
-
-def ast_chars(ast: RegexAst) -> tuple:
-    """The character set of every character the expression can match."""
-    sets = []
-    stack = [ast]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sym):
-            sets.append(node.chars)
-        elif isinstance(node, (Concat, Alt)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Star):
-            stack.append(node.inner)
-    return charset_union(sets)
-
-
-# ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
 
@@ -459,8 +399,9 @@ def _lower_item(op, av, stripped) -> _Piece | None:
     if op is _sre.BRANCH:
         return _join([_lower(branch, stripped) for branch in av[1]], TOK_ALT)
     if op is _sre.SUBPATTERN:
-        _, add_flags, del_flags, body = av
-        if (add_flags | del_flags) & ~_EXACT_FLAGS:
+        # A group may remove only i, m, s and x, and the tree reads as lowered without them.
+        _, add_flags, _, body = av
+        if add_flags & ~_EXACT_FLAGS:
             stripped.append("flag")
         return _lower(body, stripped)
     if op in (_sre.MAX_REPEAT, _sre.MIN_REPEAT):  # a lazy repeat reads as greedy
@@ -669,33 +610,24 @@ def shunting_yard_trace(expr: NormalizedExpr) -> tuple[PostfixProgram, list[Trac
     return PostfixProgram(tokens=tuple(_sya(expr.tokens, trace))), trace
 
 
-def postfix_to_ast(prog: PostfixProgram) -> RegexAst:
-    """Evaluate a postfix program into a formal AST."""
-    stack: list[RegexAst] = []
-    for tok in prog.tokens:
-        if tok.kind is TokenKind.SYMBOL:
-            stack.append(Sym(tok.chars))
-        elif tok.kind is TokenKind.EPSILON:
-            stack.append(EPS)
-        elif tok.kind is TokenKind.STAR:
-            if not stack:
-                raise MalformedExpression("star without operand")
-            stack.append(Star(stack.pop()))
-        elif tok.kind in (TokenKind.CONCAT, TokenKind.ALT):
-            if len(stack) < 2:
-                raise MalformedExpression("binary operator underflow")
-            right, left = stack.pop(), stack.pop()
-            stack.append(Concat(left, right) if tok.kind is TokenKind.CONCAT else Alt(left, right))
-        else:
-            raise MalformedExpression("parenthesis in postfix program")
-    if len(stack) != 1:
-        raise MalformedExpression(f"postfix program leaves {len(stack)} values")
-    return stack[0]
-
-
 def parse_postfix(text: str) -> PostfixProgram:
     """Parse a compact postfix string like 'ba|ab|*&' (one char per token);
     an ill-formed program raises MalformedExpression."""
     prog = PostfixProgram(tokens=tuple(_formal_tokens(text)))
-    postfix_to_ast(prog)
+    values = 0  # the operands an evaluation would hold on its stack
+    for tok in prog.tokens:
+        kind = tok.kind
+        if kind is _LPAREN or kind is _RPAREN:
+            raise MalformedExpression("parenthesis in postfix program")
+        if kind is _STAR:
+            if not values:
+                raise MalformedExpression("star without operand")
+        elif kind is _CONCAT or kind is TokenKind.ALT:
+            if values < 2:
+                raise MalformedExpression("binary operator underflow")
+            values -= 1
+        else:
+            values += 1
+    if values != 1:
+        raise MalformedExpression(f"postfix program leaves {values} values")
     return prog

@@ -1,108 +1,75 @@
-"""Brute-force ground truth: direct AST matching and bounded-length language
-enumeration.  Deliberately independent of the automata path — no NFAs or
-DFAs are involved — so it can serve as the differential-test partner."""
+"""Ground truth from the host engine: bounded-length language enumeration
+judged by `re.fullmatch` on the pattern text.  The rules run in `re`, so `re`
+is the judge; no NFA, DFA or lowering of the frontend decides membership, so
+the oracle can serve as the differential-test partner of the automata path.
+The frontend only picks which characters `oracle-verify` tries."""
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+import re
 
 from . import frontend
 from .errors import BoundExceeded
-from .frontend import Alt, Concat, Eps, RegexAst, Star, Sym
 
-MAX_ALPHABET = 4
+MAX_STRINGS = 1_000_000  # the most strings one enumeration may try
 MAX_LEN = 8
 
-
-@dataclass(frozen=True)
-class LanguageSample:
-    alphabet: tuple
-    max_len: int
-    accepted: frozenset
-
-
-def ast_match(ast: RegexAst, s: str) -> bool:
-    """True iff s is in the language of the tree.
-
-    Recursive set-of-end-positions matching: match(node, i) is the set of j
-    such that node matches s[i:j].  Exponential in principle, fine at desk
-    scale, and entirely automata-free.  It recurses once per level of the
-    tree, so a tree too deep for the stack raises BoundExceeded.
-    """
-    memo = {}
-
-    def positions(node, i):
-        key = (id(node), i)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Sym):
-            hit = i < len(s) and frontend.charset_contains(node.chars, s[i])
-            result = frozenset({i + 1}) if hit else frozenset()
-        elif isinstance(node, Eps):
-            result = frozenset({i})
-        elif isinstance(node, Concat):
-            result = frozenset(
-                k for j in positions(node.left, i) for k in positions(node.right, j)
-            )
-        elif isinstance(node, Alt):
-            result = positions(node.left, i) | positions(node.right, i)
-        elif isinstance(node, Star):
-            seen = {i}
-            frontier = {i}
-            while frontier:
-                nxt = set()
-                for j in frontier:
-                    for k in positions(node.inner, j):
-                        if k not in seen:
-                            seen.add(k)
-                            nxt.add(k)
-                frontier = nxt
-            result = frozenset(seen)
-        else:
-            raise TypeError(f"unknown node {node!r}")
-        memo[key] = result
-        return result
-
-    try:
-        return len(s) in positions(ast, 0)
-    except RecursionError:
-        raise BoundExceeded("expression too deeply nested to match") from None
+# The characters `re` folds together with a letter under IGNORECASE besides
+# its other case: KELVIN SIGN with k and K, LATIN SMALL LETTER LONG S with s and S.
+_FOLD_PARTNERS = {"k": "\u212a", "K": "\u212a", "s": "\u017f", "S": "\u017f"}
+# Characters tried whatever the patterns: the one `.` leaves out, and one that
+# no word class holds.
+_FIXED_PROBES = "\n "
 
 
-def alphabet_of(*asts: RegexAst) -> str:
-    """Every character the expressions can match, in code-point order.  More
-    than MAX_ALPHABET of them raise BoundExceeded before any is listed."""
-    chars = frontend.charset_union(frontend.ast_chars(ast) for ast in asts)
-    size = frontend.charset_size(chars)
-    if size > MAX_ALPHABET:
-        raise BoundExceeded(f"alphabet size {size} exceeds {MAX_ALPHABET}")
-    return frontend.charset_chars(chars)
+def probe_alphabet(*patterns: str) -> str:
+    """The characters to enumerate a pair over, in code-point order: the
+    lowest character of each block of the patterns' partition, each one's
+    case partners, '\\n' and a space.  The frontend reads the patterns only
+    to find the blocks."""
+    classes = [tok.chars for pattern in patterns for tok in frontend.parse(pattern).tokens
+               if tok.kind is frontend.TokenKind.SYMBOL]
+    chars = set(_FIXED_PROBES)
+    for block in frontend.partition_classes(classes):
+        c = frontend.charset_min(block)
+        chars.add(c)
+        if len(c.swapcase()) == 1:
+            chars.add(c.swapcase())
+        chars.update(_FOLD_PARTNERS.get(c, ""))
+    return "".join(sorted(chars))
 
 
-def enumerate_language(ast: RegexAst, alphabet, max_len: int) -> LanguageSample:
-    """Exhaustively collect every accepted string up to max_len."""
-    alphabet = tuple(sorted(alphabet))
-    if len(alphabet) > MAX_ALPHABET:
-        raise BoundExceeded(f"alphabet size {len(alphabet)} exceeds {MAX_ALPHABET}")
+def strings(alphabet, max_len: int):
+    """Every string over `alphabet` of at most `max_len` characters, shortest
+    first.  They are counted, and refused with BoundExceeded past
+    MAX_STRINGS, before any is built."""
+    alphabet = sorted(set(alphabet))
     if not 0 <= max_len <= MAX_LEN:
         raise BoundExceeded(f"max_len {max_len} is outside 0..{MAX_LEN}")
-    accepted = set()
-    for length in range(max_len + 1):
-        for combo in itertools.product(alphabet, repeat=length):
-            s = "".join(combo)
-            if ast_match(ast, s):
-                accepted.add(s)
-    return LanguageSample(alphabet=alphabet, max_len=max_len, accepted=frozenset(accepted))
+    count = sum(len(alphabet) ** k for k in range(max_len + 1))
+    if count > MAX_STRINGS:
+        raise BoundExceeded(f"enumerating {count} strings of up to {max_len} of "
+                            f"{len(alphabet)} characters exceeds {MAX_STRINGS}")
+    return ("".join(combo) for k in range(max_len + 1)
+            for combo in itertools.product(alphabet, repeat=k))
 
 
-def verify_inclusion(sub: RegexAst, sup: RegexAst, alphabet, max_len: int) -> bool:
-    """Bounded-length inclusion check by enumeration.  A necessary condition
-    only: agreement up to max_len is evidence, not proof."""
-    sub_lang = enumerate_language(sub, alphabet, max_len)
-    sup_lang = enumerate_language(sup, alphabet, max_len)
-    return sub_lang.accepted <= sup_lang.accepted
+def enumerate_language(pattern: str, alphabet, max_len: int) -> frozenset:
+    """The strings of `strings(alphabet, max_len)` that the host engine
+    fully matches."""
+    host = re.compile(pattern)
+    return frozenset(s for s in strings(alphabet, max_len) if host.fullmatch(s))
+
+
+def verify_inclusion(sub: str, sup: str, alphabet, max_len: int) -> bool:
+    """Bounded-length inclusion check by enumeration: whether no string of
+    `strings(alphabet, max_len)` is matched by `sub` and not by `sup`.  A
+    necessary condition only: agreement up to max_len is evidence, not proof."""
+    sub_host, sup_host = re.compile(sub), re.compile(sup)
+    return not any(sub_host.fullmatch(s) and not sup_host.fullmatch(s)
+                   for s in strings(alphabet, max_len))
 
 
 # ---------------------------------------------------------------------------
@@ -120,46 +87,43 @@ DEFAULT_WEIGHTS = {
 }
 
 
-def random_ast(rng: random.Random, max_depth: int = 4, alphabet: str = "abc",
-               weights: dict | None = None) -> RegexAst:
-    weights = weights or DEFAULT_WEIGHTS
+def random_pattern(rng: random.Random, max_depth: int = 4, alphabet: str = "abc",
+                   weights: dict | None = None) -> str:
+    """The text of a random expression over symbols, ε '()', concatenation,
+    alternation and star, at most `max_depth` operators deep."""
+    return _random_piece(rng, max_depth, alphabet, weights or DEFAULT_WEIGHTS)[0]
+
+
+def _random_piece(rng, max_depth, alphabet, weights):
+    """A random expression's text, and whether it is compound: an operand of
+    concatenation or star that is itself one of the three is parenthesized."""
     if max_depth <= 0:
         if rng.random() < 0.15:
-            return Eps()
-        return Sym(frontend.charset_of(rng.choice(alphabet)))
+            return "()", False
+        return _symbol(rng.choice(alphabet)), False
     kinds, probs = zip(*weights.items())
     kind = rng.choices(kinds, probs)[0]
     if kind == "symbol":
         # Occasionally a multi-character class to exercise partitions.
         if rng.random() < 0.25 and len(alphabet) > 1:
             size = rng.randint(2, len(alphabet))
-            return Sym(frontend.charset_of(rng.sample(alphabet, size)))
-        return Sym(frontend.charset_of(rng.choice(alphabet)))
+            return _symbol(rng.sample(alphabet, size)), False
+        return _symbol(rng.choice(alphabet)), False
     if kind == "epsilon":
-        return Eps()
+        return "()", False
     if kind == "star":
-        return Star(random_ast(rng, max_depth - 1, alphabet, weights))
-    left = random_ast(rng, max_depth - 1, alphabet, weights)
-    right = random_ast(rng, max_depth - 1, alphabet, weights)
-    return Concat(left, right) if kind == "concat" else Alt(left, right)
+        return _operand(_random_piece(rng, max_depth - 1, alphabet, weights)) + "*", True
+    left = _random_piece(rng, max_depth - 1, alphabet, weights)
+    right = _random_piece(rng, max_depth - 1, alphabet, weights)
+    if kind == "concat":
+        return _operand(left) + _operand(right), True
+    return f"({left[0]}|{right[0]})", True
 
 
-def render_pattern(ast: RegexAst) -> str:
-    """Render an AST back into practical-dialect text (for pipeline tests)."""
-    if isinstance(ast, Sym):
-        return frontend.format_charset(ast.chars)
-    if isinstance(ast, Eps):
-        return "()"
-    if isinstance(ast, Concat):
-        return _wrap(ast.left) + _wrap(ast.right)
-    if isinstance(ast, Alt):
-        return "(" + render_pattern(ast.left) + "|" + render_pattern(ast.right) + ")"
-    if isinstance(ast, Star):
-        return _wrap(ast.inner) + "*"
-    raise TypeError(f"unknown node {ast!r}")
+def _symbol(chars):
+    return frontend.format_charset(frontend.charset_of(chars))
 
 
-def _wrap(node):
-    if isinstance(node, (Alt, Concat, Star)):
-        return "(" + render_pattern(node) + ")"
-    return render_pattern(node)
+def _operand(piece):
+    text, compound = piece
+    return f"({text})" if compound else text

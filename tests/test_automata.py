@@ -15,7 +15,6 @@ from rexincl import oracle as oc
 from rexincl.errors import AlphabetMismatch, MalformedExpression
 from rexincl.frontend import (
     PostfixProgram,
-    charset_chars,
     charset_min,
     charset_of,
     charset_size,
@@ -25,7 +24,6 @@ from rexincl.frontend import (
     parse_formal,
     parse_postfix,
     partition,
-    postfix_to_ast,
     to_postfix,
 )
 
@@ -34,10 +32,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def nfa_of(pattern):
     return am.thompson(to_postfix(parse(pattern)))
-
-
-def ast_of(pattern):
-    return postfix_to_ast(to_postfix(parse(pattern)))
 
 
 def sets(*texts):
@@ -181,7 +175,7 @@ def pattern_groups():
             yield [q["superset"], q["candidate"]]
     rng = random.Random(11)
     for _ in range(150):
-        yield [oc.render_pattern(oc.random_ast(rng, 4, "abc")) for _ in range(2)]
+        yield [oc.random_pattern(rng, 4, "abc") for _ in range(2)]
     for pattern in ("(a*)*b", "((a|)*)*", "(a?|b*)*c", "((((a*)*)*)*)*", "(a*b*|c)*",
                     "((a*)?){0,30}", "(((a?)*b?){0,5})*"):
         yield [pattern]
@@ -359,15 +353,15 @@ class TestInclusion:
         verdict = am.check_inclusion("ab", "ab|c")
         assert not verdict.included
         assert verdict.witness == "c"
-        assert oc.ast_match(ast_of("ab|c"), verdict.witness)
-        assert not oc.ast_match(ast_of("ab"), verdict.witness)
+        assert re.fullmatch("ab|c", verdict.witness)
+        assert not re.fullmatch("ab", verdict.witness)
 
     def test_sigma_gate_short_circuit(self):
         verdict = am.check_inclusion("[a-b](a|b)*", "ac")
         assert not verdict.included
         # The witness must still be machine-verifiable.
-        assert oc.ast_match(ast_of("ac"), verdict.witness)
-        assert not oc.ast_match(ast_of("[a-b](a|b)*"), verdict.witness)
+        assert re.fullmatch("ac", verdict.witness)
+        assert not re.fullmatch("[a-b](a|b)*", verdict.witness)
 
     def test_alphabet_subset(self):
         assert am.alphabet_subset(nfa_of("ab"), nfa_of("[a-b](a|b)*"))
@@ -397,8 +391,7 @@ class TestInclusion:
         rng = random.Random(7)
         checked = 0
         while checked < 25:
-            asts = [oc.random_ast(rng, 3, "ab") for _ in range(3)]
-            pats = [oc.render_pattern(a) for a in asts]
+            pats = [oc.random_pattern(rng, 3, "ab") for _ in range(3)]
             try:
                 ab = am.check_inclusion(pats[0], pats[1]).included
                 bc = am.check_inclusion(pats[1], pats[2]).included
@@ -442,15 +435,16 @@ def load_fuzz_config():
 
 
 def test_differential_fuzz_seeded():
-    """inclusion() vs inclusion_unoptimized() vs bounded oracle on random
-    pattern pairs; the seed and construct weights live in the fixture."""
+    """inclusion() vs inclusion_unoptimized() vs the host-judged bounded
+    oracle on random pattern pairs; the seed and construct weights live in
+    the fixture."""
     cfg = load_fuzz_config()
     rng = random.Random(cfg["seed"])
     for _ in range(cfg["smoke_pairs"]):
-        left = oc.random_ast(rng, cfg["max_depth"], cfg["alphabet"], cfg["weights"])
-        right = oc.random_ast(rng, cfg["max_depth"], cfg["alphabet"], cfg["weights"])
-        sup = am.compile_pattern(oc.render_pattern(left))
-        cand = am.compile_pattern(oc.render_pattern(right))
+        left = oc.random_pattern(rng, cfg["max_depth"], cfg["alphabet"], cfg["weights"])
+        right = oc.random_pattern(rng, cfg["max_depth"], cfg["alphabet"], cfg["weights"])
+        sup = am.compile_pattern(left)
+        cand = am.compile_pattern(right)
         opt = am.decide_inclusion(sup, cand)
         ref = reference(sup, cand)
         assert opt.included == ref.included
@@ -458,23 +452,62 @@ def test_differential_fuzz_seeded():
         if opt.included:
             assert oc.verify_inclusion(right, left, cfg["alphabet"], 6)
         else:
-            assert oc.ast_match(right, opt.witness)
-            assert not oc.ast_match(left, opt.witness)
+            assert re.fullmatch(right, opt.witness)
+            assert not re.fullmatch(left, opt.witness)
+
+
+# A wider exact grammar: named classes, a negated set, optionals, pluses and
+# bounded repeats on top of the fixture's symbols, ε, concatenation,
+# alternation and star.  The alphabet's digit, space, uppercase and non-ASCII
+# letters are what the classes tell apart.
+WIDE_ATOMS = ["a", "1", "Z", "é", "[a1]", "()", r"\d", r"\w", r"\s", "[^a]"]
+WIDE_SUFFIXES = ["", "", "", "*", "?", "+", "{2}", "{0,2}", "{1,3}"]
+WIDE_ALPHABET = "a1 Zé"
+
+
+def wide_pattern(rng, depth):
+    if depth <= 0 or rng.random() < 0.3:
+        piece = rng.choice(WIDE_ATOMS)
+    else:
+        joint = rng.choice(["", "|"])
+        piece = f"({wide_pattern(rng, depth - 1)}{joint}{wide_pattern(rng, depth - 1)})"
+    return piece + rng.choice(WIDE_SUFFIXES)
+
+
+def test_differential_wide_grammar_against_the_host():
+    """`check_inclusion`'s verdict and witness agree with the host's full
+    matches of every string of up to 4 characters: an inclusion has no
+    counterexample among them, and an exclusion's witness separates the pair
+    and is no longer than the shortest counterexample found."""
+    rng = random.Random(2024)
+    excluded = 0
+    for _ in range(300):
+        sup, cand = wide_pattern(rng, 2), wide_pattern(rng, 2)
+        verdict = am.check_inclusion(sup, cand)
+        counter = (oc.enumerate_language(cand, WIDE_ALPHABET, 4)
+                   - oc.enumerate_language(sup, WIDE_ALPHABET, 4))
+        if verdict.included:
+            assert not counter, (sup, cand, min(counter, key=len))
+        else:
+            excluded += 1
+            w = verdict.witness
+            assert re.fullmatch(cand, w) and not re.fullmatch(sup, w), (sup, cand, w)
+            assert not counter or len(w) <= min(map(len, counter)), (sup, cand, w)
+    assert 30 < excluded < 285  # both verdicts are exercised
 
 
 def test_pipeline_agrees_with_oracle_matcher():
-    """parse→postfix→thompson→powerset→complete acceptance equals the
-    brute-force AST matcher on every short string."""
+    """parse→postfix→thompson→powerset→complete acceptance equals the host
+    engine's full match on every short string over the pattern's probe
+    alphabet."""
     patterns = ["[a-b](a|b)*", "a{1,3}b", "(ab|b)*", "a?b+c", "[abc]{2}",
                 r"\d", "a(|b)c"]
     for pattern in patterns:
-        ast = ast_of(pattern)
         nfa = nfa_of(pattern)
         sigma = am.partition_classes(nfa.classes)
         dfa = am.complete(am.powerset(nfa, sigma), sigma) if sigma else am.powerset(nfa, sigma)
-        alphabet = charset_chars(nfa.chars())[:4]
-        for s in all_strings(alphabet, 5):
-            assert dfa.accepts(s) == oc.ast_match(ast, s), (pattern, s)
+        for s in all_strings(oc.probe_alphabet(pattern), 4):
+            assert dfa.accepts(s) == (re.fullmatch(pattern, s) is not None), (pattern, s)
 
 
 # Rule pieces whose meaning differs between ASCII and Unicode, and strings

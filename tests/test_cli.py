@@ -485,18 +485,32 @@ class TestOracleVerify:
         assert code == 1
         assert json.loads(out)["included_up_to_bound"] is False
 
-    @pytest.mark.parametrize("left", [r"\w", r"[\u0000-\U0010ffff]"])
-    def test_large_alphabet_exits_two(self, capsys, left):
-        code, _, err = run(capsys, "oracle-verify", "--left", left, "--right", "a")
-        assert code == 2
-        assert "exceeds" in err
+    @pytest.mark.parametrize("left, right, max_len, code", [
+        ("T", "(?i)t", "2", 0),
+        ("(?i)t", "t", "2", 1),
+        ("(?s).", r"[^\n]", "2", 1),
+        ("(?-i:a)", "a", "6", 0),
+    ], ids=["case_folded_superset", "case_folded_candidate", "dotall", "removed_flag"])
+    def test_the_hosts_answer(self, capsys, left, right, max_len, code):
+        # The host judges the stripped flags that the frontend approximates.
+        got, out, err = run(capsys, "oracle-verify", "--left", left, "--right", right,
+                            "--max-len", max_len)
+        assert (got, err) == (code, "")
+        assert json.loads(out)["included_up_to_bound"] is (code == 0)
 
-    def test_tree_too_deep_for_the_matcher_exits_two(self, capsys):
-        # The oracle's matcher recurses once per level of a 1,000-level tree.
+    def test_too_many_strings_exits_two(self, capsys):
+        # Ten blocks and their case partners, '\n' and a space: 22**8 strings of length 8.
+        code, out, err = run(capsys, "oracle-verify", "--left", "abcdefghij", "--right", "a",
+                             "--max-len", "8")
+        assert code == 2
+        assert out == "" and "exceeds" in err and err.count("\n") == 1
+
+    def test_long_literal_gets_the_hosts_answer(self, capsys):
+        # No string of at most 2 characters matches a literal of 1,000.
         code, out, err = run(capsys, "oracle-verify", "--left", "a" * 1000, "--right", "a",
                              "--max-len", "2")
-        assert code == 2
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert code == 0 and err == ""
+        assert json.loads(out)["included_up_to_bound"] is True
 
     def test_negative_max_len_exits_two(self, capsys):
         code, out, err = run(capsys, "oracle-verify", "--left", "a", "--right", "b",

@@ -1,4 +1,3 @@
-import itertools
 import re
 import time
 import warnings
@@ -8,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rexincl import frontend
+from rexincl.automata import compile_pattern, completed_dfas, thompson
 from rexincl.errors import MalformedExpression, PatternSyntaxError, UnsupportedFeature
 from rexincl.frontend import (
     MAX_CODE,
@@ -20,20 +20,27 @@ from rexincl.frontend import (
     parse,
     parse_formal,
     parse_postfix,
-    postfix_to_ast,
     shunting_yard_trace,
     to_postfix,
 )
-from rexincl.oracle import ast_match, enumerate_language
+from rexincl.oracle import strings
 
 
 def postfix_of(pattern):
     return str(to_postfix(parse(pattern)))
 
 
+def accepted(prog, alphabet, max_len):
+    """The strings of `strings(alphabet, max_len)` that the postfix
+    program's Thompson NFA accepts."""
+    nfa = thompson(prog)
+    return {s for s in strings(alphabet, max_len) if nfa.accepts(s)}
+
+
 def lang(pattern, alphabet, max_len):
-    ast = postfix_to_ast(to_postfix(parse(pattern)))
-    return enumerate_language(ast, alphabet, max_len).accepted
+    """The frontend's lowering of `pattern`, as an automaton sees it; the
+    tests compare it with hand-written sets."""
+    return accepted(to_postfix(parse(pattern)), alphabet, max_len)
 
 
 # ASCII and non-ASCII letters, digits, spaces and controls.
@@ -108,9 +115,18 @@ class TestParse:
         assert expr.tokens == parse(plain).tokens
 
     @pytest.mark.parametrize("pattern", ["(?i)a", "(?s).", r"(?a)\d", "(?m)a", "(?i:a)b",
-                                         "(?x)(?i)a b"])
+                                         "(?x)(?i)a b", "(?i)a(?-i:b)"])
     def test_other_flags_stay_approximate(self, pattern):
         assert parse(pattern).stripped_features == ("flag",)
+
+    @pytest.mark.parametrize("removed, plain", [("(?-i:a)", "a"), ("(?-s:.)", "."),
+                                                ("a(?-m:b)", "ab")])
+    def test_removed_flag_is_exact(self, removed, plain):
+        # A group may remove only i, m, s and x; without them re's tree reads
+        # as the frontend lowers it.
+        expr = parse(removed)
+        assert not expr.approximate
+        assert expr.tokens == parse(plain).tokens
 
     def test_named_group_is_plain_group(self):
         expr = parse(r"(?P<df>\d+)")
@@ -221,8 +237,7 @@ class TestParse:
         assert lang("a(|b)", "ab", 3) == {"a", "ab"}
 
     def test_explicit_concat_operator(self):
-        ast = postfix_to_ast(to_postfix(parse_formal("a&b")))
-        assert enumerate_language(ast, "ab", 3).accepted == {"ab"}
+        assert accepted(to_postfix(parse_formal("a&b")), "ab", 3) == {"ab"}
 
 
 class TestSizeBound:
@@ -324,15 +339,16 @@ class TestToPostfix:
 
 
 class TestPostfixToAst:
+    """Postfix programs read by `parse_postfix`, and the well-formedness
+    check it makes."""
+
     def test_simple(self):
-        ast = postfix_to_ast(parse_postfix("ab&"))
-        assert ast_match(ast, "ab") and not ast_match(ast, "a")
+        assert accepted(parse_postfix("ab&"), "ab", 3) == {"ab"}
 
     def test_worked_postfix(self):
-        ast = postfix_to_ast(parse_postfix("ba|ab|*&"))
-        sample = enumerate_language(ast, "ab", 3)
-        assert "" not in sample.accepted
-        assert {"a", "b", "ab", "ba", "abb"} <= sample.accepted
+        sample = accepted(parse_postfix("ba|ab|*&"), "ab", 3)
+        assert "" not in sample
+        assert {"a", "b", "ab", "ba", "abb"} <= sample
 
     @pytest.mark.parametrize("text, message", [
         ("ab", "postfix program leaves 2 values"),
@@ -359,17 +375,13 @@ SUPPORTED = st.sampled_from([
 @settings(max_examples=80, deadline=None)
 @given(SUPPORTED, st.sampled_from(["ab", "aé٣\u00a0"]))
 def test_roundtrip_language_preserved(pattern, alphabet):
-    """postfix_to_ast(to_postfix(parse(p))) accepts exactly what the host
-    engine accepts, checked by exhaustive enumeration over ASCII and
-    non-ASCII strings."""
-    ast = postfix_to_ast(to_postfix(parse(pattern)))
-    host = re.compile(pattern)
+    """The compiled DFA of a pattern accepts exactly what the host engine
+    fully matches, checked by exhaustive enumeration over ASCII and non-ASCII
+    strings."""
+    dfa = completed_dfas([compile_pattern(pattern)])[0]
     n = 5 if alphabet == "ab" else 4
-    sample = enumerate_language(ast, alphabet, n).accepted
-    for k in range(n + 1):
-        for combo in itertools.product(alphabet, repeat=k):
-            s = "".join(combo)
-            assert (host.fullmatch(s) is not None) == (s in sample), (pattern, s)
+    for s in strings(alphabet, n):
+        assert dfa.accepts(s) == (re.fullmatch(pattern, s) is not None), (pattern, s)
 
 
 @pytest.mark.parametrize("pattern", [r"\d", r"\D", r"\w", r"\W", r"\s", r"\S", ".", "[^a]"])

@@ -1,80 +1,103 @@
-"""Brute-force matcher and enumeration tests.  These must hold before any
-automata-path result is trusted."""
+"""Host-judged enumeration tests.  These must hold before any automata-path
+result is trusted."""
+
+import hashlib
+import json
+import random
+from pathlib import Path
 
 import pytest
 
 from rexincl.errors import BoundExceeded
-from rexincl.frontend import Alt, Concat, Eps, Star, Sym, charset_of, parse, postfix_to_ast, to_postfix
-from rexincl.oracle import ast_match, enumerate_language, verify_inclusion
+from rexincl.oracle import enumerate_language, probe_alphabet, random_pattern, verify_inclusion
 
-
-def ast_of(pattern):
-    return postfix_to_ast(to_postfix(parse(pattern)))
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestAstMatch:
+    """Membership of single strings, judged by the host on the pattern text."""
+
     def test_class_then_star(self):
-        ast = ast_of("[a-b](a|b)*")
-        assert ast_match(ast, "baa")
-        assert ast_match(ast, "a")
-        assert not ast_match(ast, "")
-        assert not ast_match(ast, "abc")
+        accepted = enumerate_language("[a-b](a|b)*", "abc", 3)
+        assert {"baa", "a"} <= accepted
+        assert "" not in accepted and "abc" not in accepted
 
     def test_epsilon_in_star(self):
-        assert ast_match(Star(Sym(charset_of("x"))), "")
-        assert ast_match(ast_of("(abc)*"), "")
+        assert "" in enumerate_language("x*", "x", 0)
+        assert "" in enumerate_language("(abc)*", "abc", 0)
 
     def test_plain_concat(self):
-        ast = ast_of("ab")
-        assert ast_match(ast, "ab")
-        assert not ast_match(ast, "ba")
+        assert enumerate_language("ab", "ab", 2) == {"ab"}
 
     def test_nested(self):
-        ast = Concat(Alt(Sym(charset_of("a")), Eps()), Star(Sym(charset_of("b"))))
-        assert ast_match(ast, "")
-        assert ast_match(ast, "abb")
-        assert ast_match(ast, "bb")
-        assert not ast_match(ast, "ba")
+        accepted = enumerate_language("(a|)b*", "ab", 3)
+        assert {"", "abb", "bb"} <= accepted
+        assert "ba" not in accepted
 
 
 class TestEnumerateLanguage:
     def test_literal(self):
         # Exhaustive over the 15 strings of length <= 3 on {a,b}.
-        sample = enumerate_language(ast_of("ab"), "ab", 3)
-        assert sample.accepted == {"ab"}
+        assert enumerate_language("ab", "ab", 3) == {"ab"}
 
     def test_star(self):
-        sample = enumerate_language(ast_of("a*"), "a", 3)
-        assert sample.accepted == {"", "a", "aa", "aaa"}
+        assert enumerate_language("a*", "a", 3) == {"", "a", "aa", "aaa"}
 
     def test_class_star(self):
-        sample = enumerate_language(ast_of("[a-b](a|b)*"), "ab", 2)
-        assert sample.accepted == {"a", "b", "aa", "ab", "ba", "bb"}
+        assert enumerate_language("[a-b](a|b)*", "ab", 2) == {"a", "b", "aa", "ab", "ba", "bb"}
 
     def test_monotone_in_max_len(self):
-        ast = ast_of("(a|bb)*")
         prev = frozenset()
         for k in range(6):
-            cur = enumerate_language(ast, "ab", k).accepted
+            cur = enumerate_language("(a|bb)*", "ab", k)
             assert prev <= cur
             prev = cur
 
     def test_guards(self):
+        # 10**8 strings of length 8 alone; refused before any is built.
+        with pytest.raises(BoundExceeded, match="exceeds 1000000$"):
+            enumerate_language("a", "abcdefghij", 8)
         with pytest.raises(BoundExceeded):
-            enumerate_language(ast_of("a"), "abcde", 3)
+            enumerate_language("a", "ab", 9)
         with pytest.raises(BoundExceeded):
-            enumerate_language(ast_of("a"), "ab", 9)
-        with pytest.raises(BoundExceeded):
-            enumerate_language(ast_of("a"), "ab", -1)
+            enumerate_language("a", "ab", -1)
+
+    def test_case_is_the_hosts(self):
+        assert enumerate_language("(?i)k", probe_alphabet("(?i)k"), 1) == {"k", "K", "K"}
+        assert enumerate_language("(?-i:a)", "aA", 1) == {"a"}
 
 
 class TestVerifyInclusion:
     def test_specific_general_pair(self):
-        assert verify_inclusion(ast_of("ab"), ast_of("[a-b](a|b)*"), "ab", 6)
+        assert verify_inclusion("ab", "[a-b](a|b)*", "ab", 6)
 
     def test_reflexive(self):
-        ast = ast_of("a(b|c)*")
-        assert verify_inclusion(ast, ast, "abc", 5)
+        assert verify_inclusion("a(b|c)*", "a(b|c)*", "abc", 5)
 
     def test_counterexample(self):
-        assert not verify_inclusion(ast_of("ab|c"), ast_of("ab"), "abc", 2)
+        assert not verify_inclusion("ab|c", "ab", "abc", 2)
+
+
+@pytest.mark.parametrize("patterns, alphabet", [
+    (("ab", "[a-b](a|b)*"), "\n ABab"),
+    (("(?s).", r"[^\n]"), "\x00\n "),
+    (("k", "s"), "\n KSksſK"),
+    (("()",), "\n "),
+], ids=["blocks", "one_block", "fold_partners", "no_symbols"])
+def test_probe_alphabet(patterns, alphabet):
+    """One character per block of the partition, its case partners, '\\n'
+    and a space."""
+    assert probe_alphabet(*patterns) == alphabet
+
+
+def test_random_pattern_texts_are_stable():
+    """The seeded fixture's pattern texts, pinned: criterion 4 and the
+    differential fuzz run the same pairs from run to run."""
+    with open(FIXTURES / "random_patterns.json") as fh:
+        cfg = json.load(fh)
+    rng = random.Random(cfg["seed"])
+    texts = [random_pattern(rng, cfg["max_depth"], cfg["alphabet"], cfg["weights"])
+             for _ in range(2 * cfg["acceptance_pairs"])]
+    assert texts[9:11] == ["[a-c](([a-c]|cb))", "((a(a*)|((c|c)|c)))b"]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+        "15a50f82625dae14e153c58b5b7ee5953e449be89a5a6f3884a4d829fca90678")

@@ -12,7 +12,7 @@ from rexincl import oracle as oc
 from rexincl import reducer as rd
 from rexincl.errors import DuplicateId, FormatError
 from rexincl.extractor import Document, bench, load_corpus
-from rexincl.frontend import Alt, Concat, Eps, RawPattern, Star, Sym, charset
+from rexincl.frontend import RawPattern
 from rexincl.reducer import (
     InclusionReport,
     Rule,
@@ -56,18 +56,18 @@ def nested_group(rng, size):
     ((x|y)|z)*), diamonds (x under x|y and z|x, both under (x|y)|z) and
     equal-language duplicates (x, x|x, x then ε, x|∅y), in shuffled order.
     The labels of y behind the empty class ∅ match nothing."""
-    asts = []
-    while len(asts) < size:
-        x, y, z = (oc.random_ast(rng, 3, "abc") for _ in range(3))
+    texts = []
+    while len(texts) < size:
+        x, y, z = (oc.random_pattern(rng, 3, "abc") for _ in range(3))
         shape = rng.choice(["chain", "diamond", "duplicate"])
         if shape == "chain":
-            asts += [x, Alt(x, y), Alt(Alt(x, y), z), Star(Alt(Alt(x, y), z))]
+            texts += [x, f"({x}|{y})", f"(({x}|{y})|{z})", f"(({x}|{y})|{z})*"]
         elif shape == "diamond":
-            asts += [x, Alt(x, y), Alt(z, x), Alt(Alt(x, y), z)]
+            texts += [x, f"({x}|{y})", f"({z}|{x})", f"(({x}|{y})|{z})"]
         else:
-            asts += [x, Alt(x, x), Concat(x, Eps()), Alt(x, Concat(Sym(charset(())), y))]
-    rng.shuffle(asts)
-    return [neg(i, oc.render_pattern(a)) for i, a in enumerate(asts[:size])]
+            texts += [x, f"({x}|{x})", f"({x})()", rf"({x}|[^\x00-\U0010ffff]({y}))"]
+    rng.shuffle(texts)
+    return [neg(i, text) for i, text in enumerate(texts[:size])]
 
 
 class TestRule:
