@@ -498,10 +498,11 @@ class TestOracleVerify:
         assert (got, err) == (code, "")
         assert json.loads(out)["included_up_to_bound"] is (code == 0)
 
-    def test_too_many_strings_exits_two(self, capsys):
-        # Ten blocks and their case partners, '\n' and a space: 22**8 strings of length 8.
-        code, out, err = run(capsys, "oracle-verify", "--left", "abcdefghij", "--right", "a",
-                             "--max-len", "8")
+    @pytest.mark.parametrize("left", [r"\w", r"[\u0000-\U0010ffff]"])
+    def test_large_alphabet_exits_two(self, capsys, left):
+        # A large class is one block, but the right side's ten letters, their
+        # case partners, '\n' and a space make 23 probes: 23**6 strings of length 6.
+        code, out, err = run(capsys, "oracle-verify", "--left", left, "--right", "abcdefghij")
         assert code == 2
         assert out == "" and "exceeds" in err and err.count("\n") == 1
 
