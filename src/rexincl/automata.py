@@ -1,5 +1,11 @@
-"""Automata layer: Thompson NFAs, powerset DFAs, complement, and the
+"""Automata layer: position automata, powerset DFAs, complement, and the
 product-traversal inclusion decision procedure.
+
+A pattern is compiled to its position (Glushkov) automaton: one state per
+symbol of the postfix program and no ε edges.  The one determinizer works
+over sets of positions.  Thompson NFAs are kept for display (`explain`) and
+for the benchmark's stage-by-stage replay; `powerset` converts one to
+position form before determinizing it.
 
 Transitions are labeled with character *sets*.  Before two automata are
 compared, the classes of both are refined into a partition of disjoint
@@ -29,7 +35,9 @@ EPS_LABEL = None  # transition label for ε edges
 
 @dataclass(frozen=True)
 class Nfa:
-    """Thompson NFA: one start state, one accept state, dense int ids."""
+    """Thompson NFA: one start state, one accept state, dense int ids.  It is
+    built for display and for the benchmark's replay; decisions are made on
+    `Positions`."""
 
     n_states: int
     start: int
@@ -136,15 +144,35 @@ def _members(mask):
 
 
 @dataclass(frozen=True)
+class Positions:
+    """Position automaton: state 0 is the start and states 1..m are the
+    positions, one per symbol, with no ε edges.  Every transition into
+    position p reads `labels[p - 1]`, a character set shared with the
+    symbol's token.  Sets of positions are ints with bit p for position p:
+    `follow[p]` holds the positions that may come right after p, and
+    `follow[0]` the first ones; `final` holds the positions a match may end
+    at, and bit 0 when the empty string matches."""
+
+    labels: tuple
+    follow: tuple
+    final: int
+
+    @cached_property
+    def classes(self) -> tuple:
+        """The distinct labels, told apart by identity, as `Nfa.classes`."""
+        return tuple({id(label): label for label in self.labels}.values())
+
+
+@dataclass(frozen=True)
 class Dfa:
     """Complete DFA over a partition alphabet, with sparse rows:
     `rows[q]` maps block index i to the successor of state q on block
     `alphabet[i]`, in block order, for every successor that is not the sink.
-    Every block missing from a row leads to `sink`, a non-accepting state in
-    a `powerset` DFA (the empty NFA-state set) whose own row is empty; `sink`
-    is None when no row misses a block.  `table` is the dense view, for
-    display and reference procedures.  The rows are dicts, so a Dfa is not
-    hashable; they are shared with its complement and must not be changed."""
+    Every block missing from a row leads to `sink`, a non-accepting state
+    (the empty set of positions) whose own row is empty; `sink` is None when
+    no row misses a block.  `table` is the dense view, for display and
+    reference procedures.  The rows are dicts, so a Dfa is not hashable;
+    they are shared with its complement and must not be changed."""
 
     start: int
     accepting: frozenset
@@ -317,11 +345,93 @@ def thompson(prog: PostfixProgram) -> Nfa:
 
 
 # ---------------------------------------------------------------------------
+# Position automaton
+# ---------------------------------------------------------------------------
+
+def positions(prog: PostfixProgram) -> Positions:
+    """Stack evaluation of a postfix program into its position automaton.
+
+    Each operand is summed up by its first positions, its last positions and
+    whether it matches the empty string.  Concatenation lets every last
+    position of its left operand be followed by the first positions of its
+    right one, and star lets its operand's last positions be followed by
+    the operand's first ones; alternation only unites.  A malformed program
+    is refused as `thompson` refuses it.
+    """
+    symbol, epsilon, star = TokenKind.SYMBOL, TokenKind.EPSILON, TokenKind.STAR
+    concat, alt = TokenKind.CONCAT, TokenKind.ALT
+    labels = []
+    follow = [0]  # follow[0], the first positions, is set at the end
+    stack = []  # per operand: (first positions, last positions, matches ε)
+    for tok in prog.tokens:
+        kind = tok.kind
+        if kind is symbol:
+            labels.append(tok.chars)
+            follow.append(0)
+            p = 1 << len(labels)
+            stack.append((p, p, False))
+        elif kind is epsilon:
+            stack.append((0, 0, True))
+        elif kind is star:
+            if not stack:
+                raise MalformedExpression("star without operand")
+            first, last, _ = stack.pop()
+            for p in _members(last):
+                follow[p] |= first
+            stack.append((first, last, True))
+        elif kind is concat or kind is alt:
+            if len(stack) < 2:
+                raise MalformedExpression("binary operator underflow")
+            first2, last2, empty2 = stack.pop()
+            first1, last1, empty1 = stack.pop()
+            if kind is alt:
+                stack.append((first1 | first2, last1 | last2, empty1 or empty2))
+                continue
+            if first2:
+                for p in _members(last1):
+                    follow[p] |= first2
+            stack.append((first1 | first2 if empty1 else first1,
+                          last1 | last2 if empty2 else last2, empty1 and empty2))
+        else:
+            raise MalformedExpression("parenthesis in postfix program")
+    if len(stack) != 1:
+        raise MalformedExpression(f"postfix program leaves {len(stack)} values")
+    first, last, empty = stack[0]
+    follow[0] = first
+    return Positions(labels=tuple(labels), follow=tuple(follow), final=last | int(empty))
+
+
+def _positions_of(nfa: Nfa) -> Positions:
+    """The position automaton of an NFA: each symbol transition is a
+    position, followed by the symbol transitions that leave the ε-closure of
+    its target, and final when that closure holds the accept state.  On a
+    Thompson NFA it determinizes state for state as `positions` does."""
+    closures = _eps_closures(nfa)
+    edges = [(src, label, dst) for src, label, dst in nfa.transitions if label is not EPS_LABEL]
+    leaving = [0] * nfa.n_states  # per state, the positions of its symbol transitions
+    for p, (src, _, _) in enumerate(edges, 1):
+        leaving[src] |= 1 << p
+
+    def after(closure):
+        out = 0
+        for q in _members(closure):
+            out |= leaving[q]
+        return out
+
+    reached = [closures[nfa.start], *(closures[dst] for _, _, dst in edges)]
+    return Positions(labels=tuple(label for _, label, _ in edges),
+                     follow=tuple(map(after, reached)),
+                     final=sum(1 << p for p, closure in enumerate(reached)
+                               if closure >> nfa.accept & 1))
+
+
+# ---------------------------------------------------------------------------
 # Powerset construction
 # ---------------------------------------------------------------------------
 
 def powerset(nfa: Nfa, alphabet: tuple | None = None) -> Dfa:
-    """Determinize over ε-closure subsets, reachable states only.
+    """Determinize an NFA through its position automaton, reachable states
+    only.
 
     `alphabet` must be a partition refining the NFA's classes, as
     `partition_classes` returns it; by default the NFA's own partition
@@ -333,47 +443,51 @@ def powerset(nfa: Nfa, alphabet: tuple | None = None) -> Dfa:
     blocks, columns = frontend.partition([*given, *labels])
     if alphabet is not None and blocks != given:
         raise AlphabetMismatch("alphabet does not refine NFA classes")
-    return _determinize(nfa, blocks, dict(zip(map(id, labels), columns[len(given):])))
+    return _determinize(_positions_of(nfa), blocks,
+                        dict(zip(map(id, labels), columns[len(given):])))
 
 
-def _determinize(nfa: Nfa, alphabet: tuple, columns: dict) -> Dfa:
-    """`powerset`, given id(label) -> the blocks each label is made of.
+def _determinize(pos: Positions, alphabet: tuple, columns: dict) -> Dfa:
+    """The subset construction over sets of positions, given id(label) ->
+    the blocks each label is made of.
 
-    A DFA state is an int with one bit per NFA state.  A row ORs, per
-    label, the closures of the symbol targets of the members that have a
-    symbol transition, and gives each of the label's blocks that union, so
-    only the blocks of labels some member steps on get an entry.  Every
-    other block leads to the empty set, the sink, which is numbered like any
-    other subset where the dense table would first meet it: states are
-    numbered breadth-first, and a row's new states in block order.
+    A DFA state is a set of positions, and the start state is {0}.  A row
+    ORs the follow sets of the state's members, and gives each block the
+    positions of that union whose label holds the block, so only the blocks
+    of labels some follower reads get an entry.  It ANDs the union with each
+    label's positions, or, when the union has fewer members than the
+    pattern has labels, walks the members' own blocks.  Every other block
+    leads to the empty set, the sink, which is numbered like any other set
+    where the dense table would first meet it: states are numbered
+    breadth-first, and a row's new states in block order.
     """
-    closures = _eps_closures(nfa)
-    labels = nfa.classes
-    label_index = {id(label): k for k, label in enumerate(labels)}
-    blocks = [columns[id(label)] for label in labels]
-    step = [[] for _ in range(nfa.n_states)]  # (label index, closure of dst)
-    stepping = 0  # the states with a symbol transition
-    for src, label, dst in nfa.transitions:
-        if label is not EPS_LABEL:
-            step[src].append((label_index[id(label)], closures[dst]))
-            stepping |= 1 << src
+    follow = pos.follow
+    blocks_of = [(), *(columns[id(label)] for label in pos.labels)]  # per position
+    readers = {}  # id(label) -> the positions that read it
+    for p, label in enumerate(pos.labels, 1):
+        readers[id(label)] = readers.get(id(label), 0) | 1 << p
+    reads = [(mask, columns[key]) for key, mask in readers.items() if columns[key]]
 
     n_blocks = len(alphabet)
-    start = closures[nfa.start]
-    ids = {start: 0}
-    order = [start]
+    ids = {1: 0}
+    order = [1]
     rows = []
     sink = None
     for current in order:  # grows while it is walked
-        reach = [0] * len(labels)  # per label, the union of its targets
-        for q in _members(current & stepping):
-            for k, target in step[q]:
-                reach[k] |= target
-        targets = {}  # block index -> a nonempty subset
-        for k, mask in enumerate(reach):
-            if mask:
-                for i in blocks[k]:
-                    targets[i] = targets.get(i, 0) | mask
+        reach = 0  # the positions that may follow the state's members
+        for p in _members(current):
+            reach |= follow[p]
+        targets = {}  # block index -> a nonempty set of positions
+        if reach.bit_count() < len(reads):
+            for p in _members(reach):
+                for i in blocks_of[p]:
+                    targets[i] = targets.get(i, 0) | 1 << p
+        else:
+            for mask, blocks in reads:
+                nxt = reach & mask
+                if nxt:
+                    for i in blocks:
+                        targets[i] = targets.get(i, 0) | nxt
         row = {}
         for i in sorted(targets):
             if sink is None and i != len(row):  # block len(row) is the first missed
@@ -388,9 +502,10 @@ def _determinize(nfa: Nfa, alphabet: tuple, columns: dict) -> Dfa:
             sink = len(order)
             order.append(0)
         rows.append(row)
+    final = pos.final
     return Dfa(
         start=0,
-        accepting=frozenset(i for i, s in enumerate(order) if s >> nfa.accept & 1),
+        accepting=frozenset(i for i, s in enumerate(order) if s & final),
         rows=tuple(rows),
         sink=sink,
         alphabet=alphabet,
@@ -398,8 +513,9 @@ def _determinize(nfa: Nfa, alphabet: tuple, columns: dict) -> Dfa:
 
 
 def complete(dfa: Dfa, sigma: tuple) -> Dfa:
-    """`dfa`, which `powerset` already built complete, once it is checked
-    to be over `sigma`, a partition as `partition_classes` returns it."""
+    """`dfa`, which the determinizer already built complete, once it is
+    checked to be over `sigma`, a partition as `partition_classes` returns
+    it."""
     if dfa.alphabet != tuple(sigma):
         raise AlphabetMismatch("DFA is not over the completion alphabet")
     return dfa
@@ -407,7 +523,7 @@ def complete(dfa: Dfa, sigma: tuple) -> Dfa:
 
 def complement(dfa: Dfa) -> Dfa:
     """Swap accepting and non-accepting states.  The complement shares the
-    DFA's rows and sink, so a `powerset` DFA's complement accepts in its
+    DFA's rows and sink, so a determinized DFA's complement accepts in its
     sink and stays there."""
     accepting = frozenset(range(dfa.n_states)) - dfa.accepting
     return replace(dfa, accepting=accepting)
@@ -453,7 +569,7 @@ def _included(superset_complement: Dfa, candidate: Dfa) -> bool:
 
     A step on a block missing from p's row leads the superset complement
     into its sink.  When the sink accepts, as in every complement of a
-    `powerset` DFA, it accepts every continuation, and the candidate's
+    determinized DFA, it accepts every continuation, and the candidate's
     successor is live, so a counterexample is certain at that step.
     """
     _require_comparable(superset_complement, candidate)
@@ -559,14 +675,14 @@ def alphabet_subset(candidate: Nfa, superset: Nfa) -> bool:
 
 @dataclass(frozen=True)
 class CompiledPattern:
-    """A pattern carried through parse → postfix → NFA once; `completed_dfas`
-    builds DFAs over the partition of the patterns passed with it: the pair
-    for a single check, the polarity group for a reduction."""
+    """A pattern carried through parse → postfix → position automaton once;
+    `completed_dfas` builds DFAs over the partition of the patterns passed
+    with it: the pair for a single check, the polarity group for a reduction."""
 
     pattern: str
     expr: NormalizedExpr
     postfix: PostfixProgram
-    nfa: Nfa
+    positions: Positions
 
     @property
     def approximate(self):
@@ -577,12 +693,13 @@ def compile_pattern(pattern: str | RawPattern) -> CompiledPattern:
     text = pattern.text if isinstance(pattern, RawPattern) else pattern
     expr = frontend.parse(text)
     postfix = frontend.to_postfix(expr)
-    return CompiledPattern(pattern=text, expr=expr, postfix=postfix, nfa=thompson(postfix))
+    return CompiledPattern(pattern=text, expr=expr, postfix=postfix,
+                           positions=positions(postfix))
 
 
 def compile_postfix(prog: PostfixProgram) -> CompiledPattern:
     return CompiledPattern(pattern=str(prog), expr=NormalizedExpr(prog.tokens), postfix=prog,
-                           nfa=thompson(prog))
+                           positions=positions(prog))
 
 
 def completed_dfas(patterns) -> list[Dfa]:
@@ -590,10 +707,10 @@ def completed_dfas(patterns) -> list[Dfa]:
     all their classes, so that any two of them can be compared: the pair
     for a single check, the polarity group for a reduction.  Partitioning
     the labels gives each label's blocks too, so no DFA partitions again."""
-    labels = list({id(c): c for p in patterns for c in p.nfa.classes}.values())
+    labels = list({id(c): c for p in patterns for c in p.positions.classes}.values())
     sigma, columns = frontend.partition(labels)
     columns = dict(zip(map(id, labels), columns))
-    return [_determinize(p.nfa, sigma, columns) for p in patterns]
+    return [_determinize(p.positions, sigma, columns) for p in patterns]
 
 
 def decide_inclusion(superset: CompiledPattern, candidate: CompiledPattern) -> InclusionVerdict:

@@ -393,9 +393,8 @@ def _lower(items, stripped: list[str]) -> _Piece | None:
 
 
 def _lower_item(op, av, stripped) -> _Piece | None:
-    if op in (_sre.IN, _sre.LITERAL, _sre.NOT_LITERAL, _sre.ANY):
-        items = tuple(av) if op is _sre.IN else ((op, av),)
-        return _Piece([Token(TokenKind.SYMBOL, _char_class(items))], _PREC_ATOM, 1)
+    if op in _SYMBOL_OPS:
+        return _Piece([Token(TokenKind.SYMBOL, _symbol_class(op, av))], _PREC_ATOM, 1)
     if op is _sre.BRANCH:
         return _join([_lower(branch, stripped) for branch in av[1]], TOK_ALT)
     if op is _sre.SUBPATTERN:
@@ -417,6 +416,14 @@ def _lower_item(op, av, stripped) -> _Piece | None:
     if op in (_sre.GROUPREF, _sre.GROUPREF_EXISTS):
         raise UnsupportedFeature("backreferences are not regular")
     raise UnsupportedFeature(f"{str(op).lower().replace('_', ' ')} is not supported")
+
+
+_SYMBOL_OPS = (_sre.IN, _sre.LITERAL, _sre.NOT_LITERAL, _sre.ANY)  # one character each
+
+
+def _symbol_class(op, av) -> tuple:
+    """The character set of a parse-tree item whose op is in _SYMBOL_OPS."""
+    return _char_class(tuple(av) if op is _sre.IN else ((op, av),))
 
 
 @lru_cache(maxsize=4096)
@@ -493,6 +500,28 @@ def parse(raw: RawPattern | str) -> NormalizedExpr:
     if "lookaround" in stripped:  # re's compiler alone decides look-behind widths
         _host(re.compile, text)
     return NormalizedExpr(tuple(piece.tokens) if piece else (TOK_EPSILON,), tuple(stripped))
+
+
+def lookaround_classes(text: str) -> list[tuple]:
+    """The character sets named inside the lookaround bodies of a pattern,
+    which `parse` leaves unread, found by an iterative walk of re's parse
+    tree.  They only choose which characters `oracle.probe_alphabet` tries."""
+    classes = []
+    todo = [(_host(_sre.parse, text), False)]  # (items, whether inside a lookaround)
+    while todo:
+        items, inside = todo.pop()
+        for op, av in items:
+            if op in _SYMBOL_OPS:
+                if inside:
+                    classes.append(_symbol_class(op, av))
+                continue
+            nested = inside or op in (_sre.ASSERT, _sre.ASSERT_NOT)
+            # A subtree is av itself, an entry of av, or a branch in a list there.
+            for part in av if isinstance(av, (tuple, list)) else (av,):
+                for sub in part if isinstance(part, list) else (part,):
+                    if isinstance(sub, _sre.SubPattern):
+                        todo.append((sub, nested))
+    return classes
 
 
 def parse_formal(text: str) -> NormalizedExpr:

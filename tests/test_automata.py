@@ -15,6 +15,7 @@ from rexincl import oracle as oc
 from rexincl.errors import AlphabetMismatch, MalformedExpression
 from rexincl.frontend import (
     PostfixProgram,
+    RawPattern,
     charset_min,
     charset_of,
     charset_size,
@@ -26,6 +27,7 @@ from rexincl.frontend import (
     partition,
     to_postfix,
 )
+from rexincl.reducer import Rule, compute_inclusions
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -61,9 +63,13 @@ class TestThompson:
         parse_postfix("a*").tokens[::-1],  # a star without operand
     ], ids=["underflow", "parenthesis", "two_values", "bare_star"])
     def test_malformed_program(self, tokens):
-        # `to_postfix` leaves arity to this stack evaluation.
-        with pytest.raises(MalformedExpression):
-            am.thompson(PostfixProgram(tokens=tuple(tokens)))
+        # `to_postfix` leaves arity to this stack evaluation, and the
+        # position automaton's refuses the program with the same message.
+        prog = PostfixProgram(tokens=tuple(tokens))
+        with pytest.raises(MalformedExpression) as thompson_error:
+            am.thompson(prog)
+        with pytest.raises(MalformedExpression, match=re.escape(str(thompson_error.value))):
+            am.positions(prog)
 
     def test_single_symbol(self):
         nfa = am.thompson(parse_postfix("a"))
@@ -193,6 +199,78 @@ def test_determinize_matches_set_based_reference():
     assert groups > 180
 
 
+def reference_position_determinize(pos, alphabet):
+    """Subset construction over explicit sets of positions: (table,
+    accepting set).  The successor of a set S on a block is every position
+    that follows a member of S and whose label holds the block.  States are
+    numbered breadth-first, a row's new states in block order, and the empty
+    set is a state like any other."""
+    blocks, columns = partition([*alphabet, *pos.labels])
+    assert blocks == tuple(alphabet)
+    holds = [None, *(set(col) for col in columns[len(blocks):])]  # per position
+
+    def members(mask):
+        return {p for p in range(mask.bit_length()) if mask >> p & 1}
+
+    follow = [members(mask) for mask in pos.follow]
+    order = [frozenset({0})]
+    ids = {order[0]: 0}
+    table = []
+    for current in order:
+        after = set().union(*(follow[p] for p in current))
+        row = []
+        for i in range(len(alphabet)):
+            nxt = frozenset(p for p in after if i in holds[p])
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+            row.append(ids[nxt])
+        table.append(tuple(row))
+    final = members(pos.final)
+    return tuple(table), frozenset(k for k, s in enumerate(order) if s & final)
+
+
+def test_position_determinize_matches_set_based_reference():
+    groups = 0
+    for patterns in pattern_groups():
+        compiled = [am.compile_pattern(p) for p in patterns]
+        for pattern, c, dfa in zip(patterns, compiled, am.completed_dfas(compiled)):
+            assert (dfa.table, dfa.accepting) == reference_position_determinize(
+                c.positions, dfa.alphabet), pattern
+        groups += 1
+    assert groups > 180
+
+
+STAR_HEAVY = {"symbol": 0.3, "concat": 0.2, "alt": 0.15, "star": 0.3, "epsilon": 0.05}
+
+
+def test_powerset_of_thompson_matches_positions():
+    # `explain` determinizes the Thompson NFA; the production path the
+    # position automaton.  Both give the same DFA, state for state.
+    progs = [to_postfix(parse(p)) for p in [*EDGE_PATTERNS, "(a|)*", "(()*)*", "(a{1,4}){0,4}"]]
+    progs.append(to_postfix(parse_formal("(b|a)&(a|b)*")))
+    rng = random.Random(23)
+    progs += [to_postfix(parse(oc.random_pattern(rng, 6, "ab", STAR_HEAVY))) for _ in range(300)]
+    for prog in progs:
+        via_nfa = am.powerset(am.thompson(prog))
+        dfa = am.completed_dfas([am.compile_postfix(prog)])[0]
+        assert (via_nfa.table, via_nfa.accepting, via_nfa.sink) == (
+            dfa.table, dfa.accepting, dfa.sink), str(prog)
+
+
+def test_decisions_build_no_thompson_nfa(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the decision path built a Thompson NFA")
+
+    monkeypatch.setattr(am, "thompson", refuse)
+    monkeypatch.setattr(am, "_eps_closures", refuse)
+    assert am.check_inclusion("(a|b)*", "a(b|)*").included
+    assert am.check_inclusion("a{1,3}", "a*").witness == ""
+    rules = [Rule(id=i, pattern=RawPattern(p), polarity="negative")
+             for i, p in enumerate(["a+", "a{2}", "b|a", r"\d*"])]
+    assert compute_inclusions(rules).removed == {1}
+
+
 def test_powerset_is_complete_with_the_empty_set_as_sink():
     # Over the bench rule groups' partitions, every row has an entry for
     # every block.  Every nonempty subset of a Thompson NFA can reach its
@@ -224,7 +302,8 @@ def test_full_range_star_has_no_sink():
     compiled = am.compile_pattern(EDGE_PATTERNS[0])
     dfa = am.completed_dfas([compiled])[0]
     assert dfa.sink is None
-    assert (dfa.table, dfa.accepting) == reference_determinize(compiled.nfa, dfa.alphabet)
+    assert (dfa.table, dfa.accepting) == reference_position_determinize(compiled.positions,
+                                                                         dfa.alphabet)
 
 
 def test_dead_start_is_not_the_sink():

@@ -490,7 +490,9 @@ class TestOracleVerify:
         ("(?i)t", "t", "2", 1),
         ("(?s).", r"[^\n]", "2", 1),
         ("(?-i:a)", "a", "6", 0),
-    ], ids=["case_folded_superset", "case_folded_candidate", "dotall", "removed_flag"])
+        (r"(?=a)\w", "b", "2", 1),
+    ], ids=["case_folded_superset", "case_folded_candidate", "dotall", "removed_flag",
+            "lookaround_body"])
     def test_the_hosts_answer(self, capsys, left, right, max_len, code):
         # The host judges the stripped flags that the frontend approximates.
         got, out, err = run(capsys, "oracle-verify", "--left", left, "--right", right,

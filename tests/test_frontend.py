@@ -96,6 +96,16 @@ class TestParse:
         assert str(expr) == "a&b" and expr.approximate
         assert parse("(?=^a)b").stripped_features == ("lookaround",)
 
+    def test_lookaround_classes(self):
+        # Only classes inside a lookaround body, however deep: under a
+        # look-behind, an atomic group, a star and a conditional.  z, x and k
+        # lie outside every body.
+        found = frontend.lookaround_classes(
+            r"(z)x(?!(?<=c)[d-f]|(?>g)|(?:h)*(?(1)i|j))k(?=(?=\d)l)")
+        assert sorted(found) == sorted([*map(charset_of, "cghijl"), charset_of("def"),
+                                        parse(r"\d").tokens[0].chars])
+        assert frontend.lookaround_classes("a(b)*") == []
+
     @pytest.mark.parametrize("pattern", ["(?=(?<=a|bc))x", "(?<=a|bc)x"])
     def test_look_behind_width_is_judged_by_re(self, pattern):
         with pytest.raises(PatternSyntaxError, match="look-behind requires fixed-width pattern"):

@@ -83,10 +83,11 @@ class TestVerifyInclusion:
     (("(?s).", r"[^\n]"), "\x00\n "),
     (("k", "s"), "\n KSksſK"),
     (("()",), "\n "),
-], ids=["blocks", "one_block", "fold_partners", "no_symbols"])
+    ((r"(?=a)\w", "b"), "\n 0ABab"),
+], ids=["blocks", "one_block", "fold_partners", "no_symbols", "lookaround_body"])
 def test_probe_alphabet(patterns, alphabet):
     """One character per block of the partition, its case partners, '\\n'
-    and a space."""
+    and a space; a lookaround body's classes take part in the partition."""
     assert probe_alphabet(*patterns) == alphabet
 
 
