@@ -3,9 +3,9 @@ product-traversal inclusion decision procedure.
 
 A pattern is compiled to its position (Glushkov) automaton: one state per
 symbol of the postfix program and no ε edges.  The one determinizer works
-over sets of positions.  Thompson NFAs are kept for display (`explain`) and
-for the benchmark's stage-by-stage replay; `powerset` converts one to
-position form before determinizing it.
+over sets of positions.  Thompson NFAs are built only for display
+(`explain`) and for the benchmark's stage-by-stage replay; `powerset`
+determinizes the position automaton of the program an NFA was built from.
 
 Transitions are labeled with character *sets*.  Before two automata are
 compared, the classes of both are refined into a partition of disjoint
@@ -36,13 +36,14 @@ EPS_LABEL = None  # transition label for ε edges
 @dataclass(frozen=True)
 class Nfa:
     """Thompson NFA: one start state, one accept state, dense int ids.  It is
-    built for display and for the benchmark's replay; decisions are made on
-    `Positions`."""
+    built, by `thompson` only, for display and for the benchmark's replay;
+    decisions are made on the `Positions` of its `program`."""
 
     n_states: int
     start: int
     accept: int
     transitions: tuple  # (src, label, dst); label is a character set or EPS_LABEL
+    program: PostfixProgram  # the program the NFA was built from
 
     @cached_property
     def classes(self) -> tuple:
@@ -57,82 +58,32 @@ class Nfa:
         return frontend.charset_union(self.classes)
 
     def accepts(self, s: str) -> bool:
-        """Direct NFA simulation over closure masks; used for cross-checks,
-        not production."""
-        closures = _eps_closures(self)
+        """Direct NFA simulation over sets of states, each closed under ε
+        edges by a plain search; used for cross-checks, not production."""
+        eps = [[] for _ in range(self.n_states)]
         step = [[] for _ in range(self.n_states)]
         for src, label, dst in self.transitions:
-            if label is not EPS_LABEL:
-                step[src].append((label, closures[dst]))
-        current = closures[self.start]
+            if label is EPS_LABEL:
+                eps[src].append(dst)
+            else:
+                step[src].append((label, dst))
+
+        def closure(states):
+            out, todo = set(states), list(states)
+            while todo:
+                for r in eps[todo.pop()]:
+                    if r not in out:
+                        out.add(r)
+                        todo.append(r)
+            return out
+
+        current = closure({self.start})
         for c in s:
-            nxt = 0
-            for q in _members(current):
-                for label, target in step[q]:
-                    if frontend.charset_contains(label, c):
-                        nxt |= target
-            current = nxt
+            current = closure({dst for q in current for label, dst in step[q]
+                               if frontend.charset_contains(label, c)})
             if not current:
                 return False
-        return bool(current >> self.accept & 1)
-
-
-def _eps_closures(nfa: Nfa) -> list[int]:
-    """The ε-closure of every NFA state, as an int with bit r set for each
-    state r in it.
-
-    States on one ε-cycle (a star over a nullable body) share a closure, so
-    closures are computed per strongly connected component of the ε edges,
-    found by Tarjan's algorithm.  It finishes a component only after every
-    component the component reaches, so a closure is its component's states
-    ORed with the finished closures of their successors: one OR per ε edge.
-    """
-    n = nfa.n_states
-    eps = [[] for _ in range(n)]
-    for src, label, dst in nfa.transitions:
-        if label is EPS_LABEL:
-            eps[src].append(dst)
-    # A state without ε edges is its own closure; every other state gets its
-    # closure when its component is finished.
-    closures = [0 if out else 1 << q for q, out in enumerate(eps)]
-    depth = [-1] * n  # a state's position on `unfinished` when discovered
-    low = [0] * n  # the lowest such position reachable through unfinished states
-    unfinished = []  # discovered states whose component is not finished
-    for root in range(n):
-        if closures[root] or depth[root] >= 0:
-            continue
-        depth[root] = low[root] = 0
-        unfinished.append(root)
-        path = [(root, iter(eps[root]))]  # the depth-first path
-        while path:
-            q, successors = path[-1]
-            for r in successors:
-                if closures[r]:
-                    continue
-                if depth[r] < 0:
-                    depth[r] = low[r] = len(unfinished)
-                    unfinished.append(r)
-                    path.append((r, iter(eps[r])))
-                    break
-                low[q] = min(low[q], depth[r])
-            else:
-                path.pop()
-                d = depth[q]
-                if low[q] < d:
-                    p = path[-1][0]
-                    low[p] = min(low[p], low[q])
-                    continue
-                # q roots a component, which reaches only finished ones.
-                component = unfinished[d:]
-                del unfinished[d:]
-                mask = 0
-                for r in component:
-                    mask |= 1 << r
-                    for t in eps[r]:
-                        mask |= closures[t]  # 0 for the component's own states
-                for r in component:
-                    closures[r] = mask
-    return closures
+        return self.accept in current
 
 
 def _members(mask):
@@ -341,7 +292,7 @@ def thompson(prog: PostfixProgram) -> Nfa:
     renum = tuple((number(where(a, a), len(ids)), label, number(where(b, b), len(ids)))
                   for a, label, b in transitions)
     accept = number(accept, len(ids))
-    return Nfa(n_states=len(ids), start=0, accept=accept, transitions=renum)
+    return Nfa(n_states=len(ids), start=0, accept=accept, transitions=renum, program=prog)
 
 
 # ---------------------------------------------------------------------------
@@ -401,50 +352,26 @@ def positions(prog: PostfixProgram) -> Positions:
     return Positions(labels=tuple(labels), follow=tuple(follow), final=last | int(empty))
 
 
-def _positions_of(nfa: Nfa) -> Positions:
-    """The position automaton of an NFA: each symbol transition is a
-    position, followed by the symbol transitions that leave the ε-closure of
-    its target, and final when that closure holds the accept state.  On a
-    Thompson NFA it determinizes state for state as `positions` does."""
-    closures = _eps_closures(nfa)
-    edges = [(src, label, dst) for src, label, dst in nfa.transitions if label is not EPS_LABEL]
-    leaving = [0] * nfa.n_states  # per state, the positions of its symbol transitions
-    for p, (src, _, _) in enumerate(edges, 1):
-        leaving[src] |= 1 << p
-
-    def after(closure):
-        out = 0
-        for q in _members(closure):
-            out |= leaving[q]
-        return out
-
-    reached = [closures[nfa.start], *(closures[dst] for _, _, dst in edges)]
-    return Positions(labels=tuple(label for _, label, _ in edges),
-                     follow=tuple(map(after, reached)),
-                     final=sum(1 << p for p, closure in enumerate(reached)
-                               if closure >> nfa.accept & 1))
-
-
 # ---------------------------------------------------------------------------
 # Powerset construction
 # ---------------------------------------------------------------------------
 
 def powerset(nfa: Nfa, alphabet: tuple | None = None) -> Dfa:
-    """Determinize an NFA through its position automaton, reachable states
-    only.
+    """Determinize the position automaton of the program the NFA was built
+    from, reachable states only: the DFA that production builds for it.
 
     `alphabet` must be a partition refining the NFA's classes, as
     `partition_classes` returns it; by default the NFA's own partition
     alphabet is used.  The alphabet refines the classes exactly when
     partitioning it together with them gives it back unchanged.
     """
-    labels = nfa.classes
+    pos = positions(nfa.program)
+    labels = pos.classes
     given = () if alphabet is None else tuple(alphabet)
     blocks, columns = frontend.partition([*given, *labels])
     if alphabet is not None and blocks != given:
         raise AlphabetMismatch("alphabet does not refine NFA classes")
-    return _determinize(_positions_of(nfa), blocks,
-                        dict(zip(map(id, labels), columns[len(given):])))
+    return _determinize(pos, blocks, dict(zip(map(id, labels), columns[len(given):])))
 
 
 def _determinize(pos: Positions, alphabet: tuple, columns: dict) -> Dfa:

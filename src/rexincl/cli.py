@@ -130,7 +130,7 @@ def cmd_explain(args) -> int:
             "approximate": expr.approximate,
             "stripped_features": list(expr.stripped_features),
             "postfix": str(postfix),
-            "trace": [vars(row) for row in trace],
+            "trace": None if trace is None else [vars(row) for row in trace],
             "nfa_states": nfa.n_states,
             "dfa_states": dfa.n_states,
         }, sort_keys=True))
@@ -142,12 +142,16 @@ def cmd_explain(args) -> int:
     for tok in expr.tokens:
         print(f"  {tok.kind.name} {frontend.token_str(tok)}")
     print()
-    widths = (22, 10, 10, 12)
-    print(f"{'Input':<{widths[0]}} {'Regarded':<{widths[1]}} "
-          f"{'Op stack':<{widths[2]}} {'Output':<{widths[3]}} Reason")
-    for row in trace:
-        print(f"{row.remaining:<{widths[0]}} {row.regarded:<{widths[1]}} "
-              f"{row.op_stack:<{widths[2]}} {row.output_stack:<{widths[3]}} {row.reason}")
+    if trace is None:
+        print(f"trace omitted: the postfix program has {len(postfix.tokens)} tokens, "
+              f"more than {frontend.TRACE_MAX_TOKENS}")
+    else:
+        widths = (22, 10, 10, 12)
+        print(f"{'Input':<{widths[0]}} {'Regarded':<{widths[1]}} "
+              f"{'Op stack':<{widths[2]}} {'Output':<{widths[3]}} Reason")
+        for row in trace:
+            print(f"{row.remaining:<{widths[0]}} {row.regarded:<{widths[1]}} "
+                  f"{row.op_stack:<{widths[2]}} {row.output_stack:<{widths[3]}} {row.reason}")
     print()
     print(f"postfix: {postfix}")
     print()

@@ -633,9 +633,18 @@ def to_postfix(expr: NormalizedExpr) -> PostfixProgram:
     return PostfixProgram(tokens=tuple(_sya(expr.tokens)))
 
 
-def shunting_yard_trace(expr: NormalizedExpr) -> tuple[PostfixProgram, list[TraceRow]]:
-    """Like to_postfix, but also returns the per-step trace table."""
-    trace: list[TraceRow] = []
+# The longest postfix program whose shunting-yard trace is built.  Each row
+# restates every unread token and both stacks, so the table grows with the
+# square of the program's length.
+TRACE_MAX_TOKENS = 256
+
+
+def shunting_yard_trace(expr: NormalizedExpr) -> tuple[PostfixProgram, list[TraceRow] | None]:
+    """Like to_postfix, but also returns the per-step trace table, or None
+    when the program has more than TRACE_MAX_TOKENS tokens.  The program
+    holds every token but the parentheses."""
+    parens = sum(tok.kind is _LPAREN or tok.kind is _RPAREN for tok in expr.tokens)
+    trace = [] if len(expr.tokens) - parens <= TRACE_MAX_TOKENS else None
     return PostfixProgram(tokens=tuple(_sya(expr.tokens, trace))), trace
 
 

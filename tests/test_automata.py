@@ -95,10 +95,12 @@ class TestThompson:
 
 class TestPowerset:
     def test_agrees_with_nfa_simulation(self):
-        nfa = nfa_of("a")
-        dfa = am.powerset(nfa)
-        for s in all_strings("ab", 5):
-            assert dfa.accepts(s) == nfa.accepts(s)
+        nfas = [nfa_of(p) for p in EDGE_PATTERNS]
+        nfas.append(am.thompson(to_postfix(parse_formal("(b|a)&(a|b)*"))))
+        for nfa in nfas:
+            dfa = am.powerset(nfa)
+            for s in all_strings("ab", 5):
+                assert dfa.accepts(s) == nfa.accepts(s), (str(nfa.program), s)
 
     def test_epsilon_pattern(self):
         dfa = am.powerset(nfa_of("()"))
@@ -245,17 +247,18 @@ STAR_HEAVY = {"symbol": 0.3, "concat": 0.2, "alt": 0.15, "star": 0.3, "epsilon":
 
 
 def test_powerset_of_thompson_matches_positions():
-    # `explain` determinizes the Thompson NFA; the production path the
-    # position automaton.  Both give the same DFA, state for state.
+    # `powerset` determinizes the position automaton of the NFA's program;
+    # the ε-closure subset construction over the Thompson NFA itself judges
+    # it, state for state.
     progs = [to_postfix(parse(p)) for p in [*EDGE_PATTERNS, "(a|)*", "(()*)*", "(a{1,4}){0,4}"]]
     progs.append(to_postfix(parse_formal("(b|a)&(a|b)*")))
     rng = random.Random(23)
     progs += [to_postfix(parse(oc.random_pattern(rng, 6, "ab", STAR_HEAVY))) for _ in range(300)]
     for prog in progs:
-        via_nfa = am.powerset(am.thompson(prog))
-        dfa = am.completed_dfas([am.compile_postfix(prog)])[0]
-        assert (via_nfa.table, via_nfa.accepting, via_nfa.sink) == (
-            dfa.table, dfa.accepting, dfa.sink), str(prog)
+        nfa = am.thompson(prog)
+        sigma = am.partition_classes(nfa.classes)
+        dfa = am.powerset(nfa, sigma)
+        assert (dfa.table, dfa.accepting) == reference_determinize(nfa, sigma), str(prog)
 
 
 def test_decisions_build_no_thompson_nfa(monkeypatch):
@@ -263,7 +266,6 @@ def test_decisions_build_no_thompson_nfa(monkeypatch):
         raise AssertionError("the decision path built a Thompson NFA")
 
     monkeypatch.setattr(am, "thompson", refuse)
-    monkeypatch.setattr(am, "_eps_closures", refuse)
     assert am.check_inclusion("(a|b)*", "a(b|)*").included
     assert am.check_inclusion("a{1,3}", "a*").witness == ""
     rules = [Rule(id=i, pattern=RawPattern(p), polarity="negative")
@@ -273,9 +275,10 @@ def test_decisions_build_no_thompson_nfa(monkeypatch):
 
 def test_powerset_is_complete_with_the_empty_set_as_sink():
     # Over the bench rule groups' partitions, every row has an entry for
-    # every block.  Every nonempty subset of a Thompson NFA can reach its
-    # accept state, so the one dead state is the empty subset: non-accepting
-    # and absorbing, and there whenever the pattern misses a block.
+    # every block.  No label of these patterns is empty, so every nonempty
+    # set of positions can reach a final one, and the one dead state is the
+    # empty set: non-accepting and absorbing, and there whenever the pattern
+    # misses a block.
     gen = load_bench_gen()
     for seed in (1, 2):
         specs = [s.to_obj() for s in gen.rule_set(random.Random(f"{seed}-rules"), 30)]

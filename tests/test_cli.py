@@ -11,7 +11,7 @@ import pytest
 import extract_fixture as efx
 import ruleset_fixture as rfx
 from bench_rules import bench_rule_set
-from rexincl import cli
+from rexincl import cli, frontend
 from rexincl.reducer import save_rules
 
 
@@ -167,6 +167,21 @@ class TestExplain:
         assert doc["nfa_states"] == 6
         assert doc["dfa_states"] == 5  # the complete DFA, sink included
         assert len(doc["trace"]) == 10
+
+    def test_long_program_omits_trace(self, capsys, monkeypatch):
+        # The trace restates every unread token in each row, so a long
+        # program's table is left out, and none of its rows is built.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trace row was built")
+
+        monkeypatch.setattr(frontend, "TraceRow", refuse)
+        code, out, _ = run(capsys, "explain", "a{2000}")
+        assert code == 0
+        assert len(out.encode()) < 1_000_000
+        assert "trace omitted: the postfix program has 3999 tokens, more than" in out
+        assert "Reason" not in out
+        code, out, _ = run(capsys, "explain", "--json", "a{2000}")
+        assert code == 0 and json.loads(out)["trace"] is None
 
 
     @pytest.mark.parametrize("pattern, shown", [('a"', {"a", '"'}), (r"[\n]\w", {r"\n", r"\w"})])

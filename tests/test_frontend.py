@@ -336,9 +336,22 @@ class TestToPostfix:
         calls = []
         monkeypatch.setattr(frontend, "format_charset",
                             lambda chars: calls.append(chars) or format_charset(chars))
-        expr = parse("a" * 300)
+        expr = parse("a" * (frontend.TRACE_MAX_TOKENS // 2))  # the longest traced literal
         shunting_yard_trace(expr)
         assert 0 < len(calls) <= len(expr.tokens)
+
+    @pytest.mark.parametrize("n", [frontend.TRACE_MAX_TOKENS, frontend.TRACE_MAX_TOKENS + 1])
+    def test_trace_bound_counts_postfix_tokens(self, n):
+        # A program of at most TRACE_MAX_TOKENS tokens is traced, and the
+        # parentheses of the infix tokens do not count: '(a...a)*' with k
+        # symbols is 2k tokens, '(b|cd)a...a' 2k + 5.
+        pattern = "(" + "a" * (n // 2) + ")*" if n % 2 == 0 else "(b|cd)" + "a" * ((n - 5) // 2)
+        expr = parse(pattern)
+        assert any(tok.kind is TokenKind.LPAREN for tok in expr.tokens)
+        prog, trace = shunting_yard_trace(expr)
+        assert len(prog.tokens) == n
+        assert prog == to_postfix(parse(pattern))
+        assert (trace is not None) == (n <= frontend.TRACE_MAX_TOKENS)
 
     def test_trace_reasons(self):
         # An operator that pops one of equal or higher precedence, or meets an
