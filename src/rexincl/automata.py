@@ -2,10 +2,13 @@
 product-traversal inclusion decision procedure.
 
 A pattern is compiled to its position (Glushkov) automaton: one state per
-symbol of the postfix program and no ε edges.  The one determinizer works
-over sets of positions.  Thompson NFAs are built only for display
-(`explain`) and for the benchmark's stage-by-stage replay; `powerset`
-determinizes the position automaton of the program an NFA was built from.
+symbol and no ε edges.  `compile_pattern` takes it from `frontend`'s one walk
+of re's parse tree; `positions` folds a postfix program into the same
+automaton, for the formal notation, Thompson NFAs and the tests' reference.
+The one determinizer works over sets of positions.  Thompson NFAs are built
+only for display (`explain`) and for the benchmark's stage-by-stage replay;
+`powerset` determinizes the position automaton of the program an NFA was
+built from.
 
 Transitions are labeled with character *sets*.  Before two automata are
 compared, the classes of both are refined into a partition of disjoint
@@ -23,10 +26,10 @@ from functools import cached_property
 from . import frontend
 from .errors import AlphabetMismatch, MalformedExpression
 from .frontend import (
-    NormalizedExpr,
     PostfixProgram,
     RawPattern,
     TokenKind,
+    members,
     partition_classes,
 )
 
@@ -84,14 +87,6 @@ class Nfa:
             if not current:
                 return False
         return self.accept in current
-
-
-def _members(mask):
-    """The state ids whose bits are set in `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -327,7 +322,7 @@ def positions(prog: PostfixProgram) -> Positions:
             if not stack:
                 raise MalformedExpression("star without operand")
             first, last, _ = stack.pop()
-            for p in _members(last):
+            for p in members(last):
                 follow[p] |= first
             stack.append((first, last, True))
         elif kind is concat or kind is alt:
@@ -339,7 +334,7 @@ def positions(prog: PostfixProgram) -> Positions:
                 stack.append((first1 | first2, last1 | last2, empty1 or empty2))
                 continue
             if first2:
-                for p in _members(last1):
+                for p in members(last1):
                     follow[p] |= first2
             stack.append((first1 | first2 if empty1 else first1,
                           last1 | last2 if empty2 else last2, empty1 and empty2))
@@ -402,11 +397,11 @@ def _determinize(pos: Positions, alphabet: tuple, columns: dict) -> Dfa:
     sink = None
     for current in order:  # grows while it is walked
         reach = 0  # the positions that may follow the state's members
-        for p in _members(current):
+        for p in members(current):
             reach |= follow[p]
         targets = {}  # block index -> a nonempty set of positions
         if reach.bit_count() < len(reads):
-            for p in _members(reach):
+            for p in members(reach):
                 for i in blocks_of[p]:
                     targets[i] = targets.get(i, 0) | 1 << p
         else:
@@ -602,31 +597,29 @@ def alphabet_subset(candidate: Nfa, superset: Nfa) -> bool:
 
 @dataclass(frozen=True)
 class CompiledPattern:
-    """A pattern carried through parse → postfix → position automaton once;
-    `completed_dfas` builds DFAs over the partition of the patterns passed
-    with it: the pair for a single check, the polarity group for a reduction."""
+    """A pattern's position automaton, built once in one walk of re's parse
+    tree, and the features stripped on the way; `completed_dfas` builds DFAs
+    over the partition of the patterns passed with it: the pair for a single
+    check, the polarity group for a reduction."""
 
     pattern: str
-    expr: NormalizedExpr
-    postfix: PostfixProgram
     positions: Positions
+    stripped_features: tuple = ()
 
     @property
     def approximate(self):
-        return self.expr.approximate
+        return bool(self.stripped_features)
 
 
 def compile_pattern(pattern: str | RawPattern) -> CompiledPattern:
     text = pattern.text if isinstance(pattern, RawPattern) else pattern
-    expr = frontend.parse(text)
-    postfix = frontend.to_postfix(expr)
-    return CompiledPattern(pattern=text, expr=expr, postfix=postfix,
-                           positions=positions(postfix))
+    labels, follow, final, stripped = frontend.parse_positions(text)
+    return CompiledPattern(pattern=text, positions=Positions(labels, follow, final),
+                           stripped_features=stripped)
 
 
 def compile_postfix(prog: PostfixProgram) -> CompiledPattern:
-    return CompiledPattern(pattern=str(prog), expr=NormalizedExpr(prog.tokens), postfix=prog,
-                           positions=positions(prog))
+    return CompiledPattern(pattern=str(prog), positions=positions(prog))
 
 
 def completed_dfas(patterns) -> list[Dfa]:

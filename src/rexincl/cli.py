@@ -91,24 +91,27 @@ def cmd_check(args) -> int:
     sigma_ok = not cand_dfa.char_blocks & ~sup_dfa.char_blocks  # the reducer's Σ gate
     verdict = automata.inclusion(automata.complement(sup_dfa), cand_dfa)
     approximate = sup.approximate or cand.approximate
+    # The display's tokens, which the decision does not build.
+    cand_expr, sup_expr = frontend.parse(args.candidate), frontend.parse(args.superset)
+    cand_postfix, sup_postfix = frontend.to_postfix(cand_expr), frontend.to_postfix(sup_expr)
     if args.json:
         print(json.dumps({
             "candidate": args.candidate,
             "superset": args.superset,
-            "candidate_normalized": str(cand.expr),
-            "superset_normalized": str(sup.expr),
-            "candidate_postfix": str(cand.postfix),
-            "superset_postfix": str(sup.postfix),
+            "candidate_normalized": str(cand_expr),
+            "superset_normalized": str(sup_expr),
+            "candidate_postfix": str(cand_postfix),
+            "superset_postfix": str(sup_postfix),
             "sigma_subset": sigma_ok,
             "included": verdict.included,
             "witness": verdict.witness,
             "flagged_approximate": approximate,
         }, sort_keys=True))
     else:
-        print(f"candidate normalized: {cand.expr}")
-        print(f"superset  normalized: {sup.expr}")
-        print(f"candidate postfix: {cand.postfix}")
-        print(f"superset  postfix: {sup.postfix}")
+        print(f"candidate normalized: {cand_expr}")
+        print(f"superset  normalized: {sup_expr}")
+        print(f"candidate postfix: {cand_postfix}")
+        print(f"superset  postfix: {sup_postfix}")
         print(f"Σ-gate: {'pass' if sigma_ok else 'fail'}")
         print(f"included: {verdict.included}")
         if verdict.witness is not None:

@@ -1,17 +1,21 @@
-"""Frontend: normalization to the five formal constructs and shunting-yard
+"""Frontend: rule patterns lowered to the five formal constructs, as infix
+tokens or straight to their position automaton, and shunting-yard
 conversion to postfix.
 
-Rules are Python regular expressions, and `parse` reads them with the host
-`re` engine's own parser, so a rule means here what it means to the engine
-that runs it.  The parse tree is lowered straight to the infix tokens of five
-constructs: symbols (carried as character *sets* of code-point intervals,
-not expanded to alternations), the empty string, concatenation ('&'),
-alternation ('|') and the Kleene star.  Features that cannot be represented
-exactly (anchors, lookarounds, inline flags other than VERBOSE) are stripped
-and recorded so downstream consumers can flag results as approximate.  A
-lookaround's body is not read: `re.compile` alone judges look-behind widths.
-Backreferences and other non-regular constructs are rejected, and so is a
-pattern of more than MAX_SYMBOLS operands once its repetitions are expanded.
+Rules are Python regular expressions, read with the host `re` engine's own
+parser, so a rule means here what it means to the engine that runs it.  One
+walk over the parse tree lowers it to five constructs: symbols (carried as
+character *sets* of code-point intervals, not expanded to alternations), the
+empty string, concatenation ('&'), alternation ('|') and the Kleene star.
+The walk has two targets.  `parse_positions` builds the position automaton,
+which decisions read; `parse` builds infix tokens, which serve display, the
+formal notation and the reference that the position target is tested
+against.  Features that cannot be represented exactly (anchors, lookarounds,
+inline flags other than VERBOSE) are stripped and recorded so downstream
+consumers can flag results as approximate.  A lookaround's body is not read:
+`re.compile` alone judges look-behind widths.  Backreferences and other
+non-regular constructs are rejected, and so is a pattern of more than
+MAX_SYMBOLS operands once its repetitions are expanded.
 
 `parse_formal` reads the paper's formal notation instead: one character per
 symbol, explicit '&', '|' and '*', parentheses and 'ε'.
@@ -26,7 +30,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import MalformedExpression, PatternSyntaxError, UnsupportedFeature
 
@@ -221,6 +224,15 @@ def partition(classes) -> tuple:
     return tuple(tuple(block) for block in blocks.values()), columns
 
 
+def members(mask):
+    """The indices of the bits set in `mask`, lowest first: the positions of
+    a set of positions."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def partition_classes(classes) -> tuple:
     """The blocks of `partition`: every class is a union of them."""
     return partition(classes)[0]
@@ -313,22 +325,20 @@ class PostfixProgram:
 # Lowering the host engine's parse tree
 # ---------------------------------------------------------------------------
 #
-# The parse tree is lowered straight to infix tokens, one piece per subtree.
-# None is ε, which drops out of a concatenation, so that a stripped feature
-# leaves no trace in the tokens.  A piece is parenthesized where it is the
-# operand of an operator that binds tighter than it.
+# One walk over the parse tree dispatches on re's ops: it strips and refuses
+# features and bounds the pattern's size, and a target builds what each
+# subtree lowers to.  `_Tokens` builds the infix tokens that `parse` returns,
+# `_PositionForm` the position automaton that `parse_positions` returns.  A
+# piece is a tuple whose first entry is its size, the operands (symbol and ε
+# tokens) its infix tokens hold, and whose rest is the target's.  None is ε,
+# which drops out of a concatenation, so that a stripped feature leaves no
+# trace.
 
 _TOO_DEEP = "pattern too long or too deeply nested"
 _PREC_ALT, _PREC_CONCAT, _PREC_STAR, _PREC_ATOM = 1, 2, 3, 4
 # Flags that leave the tree's meaning as it is: Unicode is the default for str
 # patterns, and VERBOSE changes only how re reads the text into the tree.
 _EXACT_FLAGS = _sre.SRE_FLAG_UNICODE | _sre.SRE_FLAG_VERBOSE
-
-
-class _Piece(NamedTuple):
-    tokens: list
-    prec: int  # of its loosest top-level operator
-    size: int  # operands: symbol and ε tokens
 
 
 def _host(read, text):
@@ -355,62 +365,64 @@ def _bounded(size):
     return size
 
 
-def _operand(piece, need):
-    """A piece's tokens as the operand of an operator of precedence `need`:
-    in parentheses when the piece binds looser."""
-    if piece is None:
-        return [TOK_EPSILON]
-    return [TOK_LPAREN, *piece.tokens, TOK_RPAREN] if piece.prec < need else piece.tokens
+def _walk(text, target):
+    """The piece `target` lowers the pattern to, or None for ε, and the
+    features stripped from it.  Refused are: a pattern `re` rejects, the
+    empty pattern, one of more than MAX_SYMBOLS operands after expansion and
+    one nested too deeply for the stack, each with PatternSyntaxError;
+    backreferences, atomic groups, possessive repeats and the other
+    non-regular constructs, with UnsupportedFeature.  A lookaround's body is
+    not read, but a pattern with one is also compiled by `re`, the only judge
+    of look-behind widths."""
+    if not text:
+        raise PatternSyntaxError("empty pattern")
+    stripped = []
+    try:  # parsing and lowering recurse once per level of re's nesting
+        tree = _host(_sre.parse, text)
+        if tree.state.flags & ~_EXACT_FLAGS:
+            stripped.append("flag")
+        piece = _lower(tree, stripped, target)
+    except RecursionError:
+        raise PatternSyntaxError(_TOO_DEEP) from None
+    if "lookaround" in stripped:  # re's compiler alone decides look-behind widths
+        _host(re.compile, text)
+    return piece, tuple(stripped)
 
 
-def _join(pieces, op):
-    """Pieces joined by `op`, TOK_CONCAT or TOK_ALT; ε drops out of a
-    concatenation, and a lone piece stands for itself."""
-    prec = _PREC_CONCAT if op is TOK_CONCAT else _PREC_ALT
-    if op is TOK_CONCAT:
-        pieces = [piece for piece in pieces if piece is not None]
+def _lower(items, stripped, target):
+    """The concatenated pieces of a sequence of sre parse-tree items, refused
+    as soon as it grows too large.  A loop, as a comprehension would cost a
+    frame a level."""
+    pieces, size = [], 0
+    for op, av in items.data:  # a SubPattern's items, read without its __getitem__
+        piece = _lower_item(op, av, stripped, target)
+        if piece is not None:
+            size = _bounded(size + piece[0])
+            pieces.append(piece)
     if len(pieces) < 2:
         return pieces[0] if pieces else None
-    size = _bounded(sum(piece.size if piece else 1 for piece in pieces))
-    tokens = []
-    for piece in pieces:
-        if tokens:
-            tokens.append(op)
-        tokens += _operand(piece, prec)
-    return _Piece(tokens, prec, size)
+    return target.concat(pieces, size)
 
 
-def _lower(items, stripped: list[str]) -> _Piece | None:
-    """The piece of a sequence of sre parse-tree items, refused as soon as it
-    grows too large.  A loop, as a comprehension would cost a frame a level."""
-    pieces, size = [], 0
-    for op, av in items:
-        piece = _lower_item(op, av, stripped)
-        if piece is not None:
-            size = _bounded(size + piece.size)
-            pieces.append(piece)
-    return _join(pieces, TOK_CONCAT)
-
-
-def _lower_item(op, av, stripped) -> _Piece | None:
+def _lower_item(op, av, stripped, target):
     if op in _SYMBOL_OPS:
-        return _Piece([Token(TokenKind.SYMBOL, _symbol_class(op, av))], _PREC_ATOM, 1)
+        return target.symbol(_symbol_class(op, av))
     if op is _sre.BRANCH:
-        return _join([_lower(branch, stripped) for branch in av[1]], TOK_ALT)
+        return _alt([_lower(branch, stripped, target) for branch in av[1]], target)
     if op is _sre.SUBPATTERN:
         # A group may remove only i, m, s and x, and the tree reads as lowered without them.
         _, add_flags, _, body = av
         if add_flags & ~_EXACT_FLAGS:
             stripped.append("flag")
-        return _lower(body, stripped)
+        return _lower(body, stripped, target)
     if op in (_sre.MAX_REPEAT, _sre.MIN_REPEAT):  # a lazy repeat reads as greedy
         m, n, body = av
         n = None if n == _sre.MAXREPEAT else n
-        return _repeat(_lower(body, stripped), m, n)
+        return _repeat(_lower(body, stripped, target), m, n, target)
     if op is _sre.AT:
         stripped.append("anchor")
         return None
-    if op in (_sre.ASSERT, _sre.ASSERT_NOT):  # dropped unread; `parse` has re judge it
+    if op in (_sre.ASSERT, _sre.ASSERT_NOT):  # dropped unread; `_walk` has re judge it
         stripped.append("lookaround")
         return None
     if op in (_sre.GROUPREF, _sre.GROUPREF_EXISTS):
@@ -449,24 +461,179 @@ def _char_class(items) -> tuple:
     return chars  # empty for a class like [^\x00-\U0010ffff], which matches nothing
 
 
-def _repeat(piece, m, n):
-    """X{m,n} as m copies of X followed by n-m nested optionals,
-    X&(X&(X|ε)|ε)|ε when n-m = 3, so that its size is linear in n; X{m,} as
-    m copies of X followed by X*.  The whole repeat is counted, ε as one
-    operand, before any of it is built."""
-    size = piece.size if piece else 1
-    _bounded(size * m + (size if n is None else (size + 1) * (n - m)))
-    rest = None
-    if n is None:
-        rest = _Piece(_operand(piece, _PREC_STAR) + [TOK_STAR], _PREC_STAR, size)
-    elif piece is None:  # ε|ε|…|ε, with n-m alternations
-        rest = _join([None] * (n - m + 1), TOK_ALT)
-    elif n > m:  # the innermost X stands under '|', which binds loosest of all
-        k = n - m
-        head = _operand(piece, _PREC_CONCAT) + [TOK_CONCAT, TOK_LPAREN]
-        rest = _Piece(head * (k - 1) + piece.tokens + [TOK_ALT, TOK_EPSILON]
-                      + [TOK_RPAREN, TOK_ALT, TOK_EPSILON] * (k - 1), _PREC_ALT, (size + 1) * k)
-    return _join([piece] * m + [rest], TOK_CONCAT)
+def _alt(pieces, target):
+    """Alternated pieces, ε counted as one operand; a lone piece stands for
+    itself."""
+    if len(pieces) < 2:
+        return pieces[0]
+    return target.alt(pieces, _bounded(sum(piece[0] if piece else 1 for piece in pieces)))
+
+
+def _repeat(piece, m, n, target):
+    """X{m,n}, or X{m,} when n is None: m copies of X followed by n-m
+    optional copies, or by X*.  The whole repeat is counted, ε as one
+    operand, before any of it is built.  ε repeated is ε* or ε|…|ε."""
+    size = piece[0] if piece else 1
+    rest = size if n is None else (size + 1) * (n - m)
+    _bounded(size * m + rest)
+    if piece is None and n is not None:  # with n-m alternations
+        return _alt([None] * (n - m + 1), target)
+    return target.repeat(piece, m, n, rest + (size * m if piece else 0))
+
+
+class _Tokens:
+    """The infix-token target.  A piece is (size, tokens, precedence of its
+    loosest top-level operator), and is parenthesized where it is the operand
+    of an operator that binds tighter than it."""
+
+    @staticmethod
+    def symbol(chars):
+        return 1, [Token(TokenKind.SYMBOL, chars)], _PREC_ATOM
+
+    @staticmethod
+    def concat(pieces, size):
+        return size, _joined(pieces, TOK_CONCAT, _PREC_CONCAT), _PREC_CONCAT
+
+    @staticmethod
+    def alt(pieces, size):
+        return size, _joined(pieces, TOK_ALT, _PREC_ALT), _PREC_ALT
+
+    @staticmethod
+    def repeat(piece, m, n, size):
+        """m copies of X followed by n-m nested optionals,
+        X&(X&(X|ε)|ε)|ε when n-m = 3, so that the tokens grow linearly in
+        n; or by X*.  X is ε only in X{m,}."""
+        # `rest` is sized 0: only the whole, which it is part of, is counted.
+        if n is None:
+            rest = (0, _operand(piece, _PREC_STAR) + [TOK_STAR], _PREC_STAR)
+        elif n > m:  # the innermost X stands under '|', which binds loosest of all
+            k = n - m
+            head = _operand(piece, _PREC_CONCAT) + [TOK_CONCAT, TOK_LPAREN]
+            rest = (0, head * (k - 1) + piece[1] + [TOK_ALT, TOK_EPSILON]
+                    + [TOK_RPAREN, TOK_ALT, TOK_EPSILON] * (k - 1), _PREC_ALT)
+        else:
+            rest = None
+        parts = [piece] * m if piece else []
+        if rest:
+            parts.append(rest)
+        if len(parts) < 2:
+            return (size, *parts[0][1:]) if parts else None
+        return size, _joined(parts, TOK_CONCAT, _PREC_CONCAT), _PREC_CONCAT
+
+
+def _operand(piece, need):
+    """A piece's tokens as the operand of an operator of precedence `need`:
+    in parentheses when the piece binds looser."""
+    if piece is None:
+        return [TOK_EPSILON]
+    _, tokens, prec = piece
+    return [TOK_LPAREN, *tokens, TOK_RPAREN] if prec < need else tokens
+
+
+def _joined(pieces, op, prec):
+    """The tokens of pieces joined by the operator token `op` of precedence `prec`."""
+    tokens = []
+    for piece in pieces:
+        if tokens:
+            tokens.append(op)
+        tokens += _operand(piece, prec)
+    return tokens
+
+
+class _PositionForm:
+    """The position-automaton target.  Symbols are numbered from 1 in the
+    order they are met, which is the order of the postfix program: position
+    p reads `labels[p - 1]`, and `follow[p]` is the set of the positions
+    that may come right after it, an int with bit q for position q;
+    `follow[0]` is left for the first positions of the whole.  A piece is
+    (size, first, last, nullable): the sets of the positions it may start
+    and end with, and whether it matches the empty string.  Its positions
+    are the ones numbered from the lowest in its first set on, as every
+    operand's first positions hold its lowest one."""
+
+    def __init__(self):
+        self.labels = []
+        self.follow = [0]
+
+    def symbol(self, chars):
+        self.labels.append(chars)
+        self.follow.append(0)
+        p = 1 << len(self.labels)
+        return 1, p, p, False
+
+    def concat(self, pieces, size):
+        """Linked right to left: an operand's last positions are followed
+        by the first positions of the operands after it, up to the first
+        that cannot match the empty string.  So each last position is
+        linked once, however many operands match the empty string."""
+        follow = self.follow
+        after, last, nullable = 0, 0, True
+        for _, first_k, last_k, nullable_k in reversed(pieces):
+            if after:
+                for p in members(last_k):
+                    follow[p] |= after
+            if nullable:
+                last |= last_k
+            after = after | first_k if nullable_k else first_k
+            nullable = nullable and nullable_k
+        return size, after, last, nullable
+
+    @staticmethod
+    def alt(pieces, size):
+        first = last = 0
+        nullable = False
+        for piece in pieces:
+            if piece is None:
+                nullable = True
+            else:
+                first |= piece[1]
+                last |= piece[2]
+                nullable = nullable or piece[3]
+        return size, first, last, nullable
+
+    def repeat(self, piece, m, n, size):
+        """The body X, lowered once, is copied by shifting its labels and
+        follow sets, and the copies are linked as the tokens' expansion is:
+        like a concatenation, except that the last positions of every copy
+        past the m-th end the whole, and the (m+1)-th copy of X{m,} loops.
+        X{0} drops X's positions."""
+        if piece is None:  # ε*
+            return size, 0, 0, True
+        _, first, last, nullable = piece
+        copies = m + 1 if n is None else n
+        if not first:  # no positions: X matches the empty string only
+            return (size, 0, 0, True) if copies else None
+        labels, follow = self.labels, self.follow
+        if copies == 1:  # X?, X* or X itself
+            if n is None:
+                for p in members(last):
+                    follow[p] |= first
+            return size, first, last, nullable or m == 0
+        lo = (first & -first).bit_length() - 1
+        if not copies:
+            del labels[lo - 1:], follow[lo:]
+            return None
+        width = len(labels) - lo + 1
+        body = follow[lo:]
+        labels += labels[lo - 1:] * (copies - 1)
+        follow += [f << k * width for k in range(1, copies) for f in body]
+        ends = list(members(last))
+        if n is None:  # the last copy, X*, loops
+            shift = m * width
+            loop = first << shift
+            for p in ends:
+                follow[p + shift] |= loop
+        after, ending, open_end = 0, 0, True
+        for k in range(copies - 1, -1, -1):
+            shift = k * width
+            if after:
+                for p in ends:
+                    follow[p + shift] |= after
+            if open_end:
+                ending |= last << shift
+            open_end = open_end and (k >= m or nullable)
+            after = after | first << shift if nullable else first << shift
+        return size, after, ending, nullable or m == 0
 
 
 # ---------------------------------------------------------------------------
@@ -478,28 +645,28 @@ def parse(raw: RawPattern | str) -> NormalizedExpr:
 
     The pattern is read by the host `re` parser.  Returns an infix token
     stream with explicit '&' concatenation and all metacharacters, classes
-    and repetitions expanded.  Strippable features are removed and recorded;
-    a lookaround's body is not read, but a pattern with one is also compiled
-    by `re`, the only judge of look-behind widths.  Refused are: a pattern
-    `re` rejects, the empty pattern, one of more than MAX_SYMBOLS operands
-    after expansion and one nested too deeply for the stack, each with
-    PatternSyntaxError; backreferences, atomic groups, possessive repeats
-    and the other non-regular constructs, with UnsupportedFeature.
+    and repetitions expanded.  Strippable features are removed and recorded.
+    The tokens serve display, the formal notation and the reference
+    pipeline; decisions read `parse_positions`.  Refusals are `_walk`'s.
     """
     text = raw.text if isinstance(raw, RawPattern) else raw
-    if not text:
-        raise PatternSyntaxError("empty pattern")
-    stripped = []
-    try:  # parsing and lowering recurse once per level of re's nesting
-        tree = _host(_sre.parse, text)
-        if tree.state.flags & ~_EXACT_FLAGS:
-            stripped.append("flag")
-        piece = _lower(tree, stripped)
-    except RecursionError:
-        raise PatternSyntaxError(_TOO_DEEP) from None
-    if "lookaround" in stripped:  # re's compiler alone decides look-behind widths
-        _host(re.compile, text)
-    return NormalizedExpr(tuple(piece.tokens) if piece else (TOK_EPSILON,), tuple(stripped))
+    piece, stripped = _walk(text, _Tokens)
+    return NormalizedExpr(tuple(piece[1]) if piece else (TOK_EPSILON,), stripped)
+
+
+def parse_positions(raw: RawPattern | str) -> tuple:
+    """The position automaton of a rule pattern, built in the one walk of
+    re's parse tree that `parse` makes, without tokens: (labels, follow,
+    final, stripped features) as `automata.Positions` holds the first three.
+    It is the automaton `automata.positions` builds from
+    `to_postfix(parse(raw))`, labels being the same objects, and it is
+    refused exactly when `parse` refuses the pattern."""
+    text = raw.text if isinstance(raw, RawPattern) else raw
+    target = _PositionForm()
+    piece, stripped = _walk(text, target)
+    _, first, last, nullable = piece if piece else (1, 0, 0, True)
+    target.follow[0] = first
+    return tuple(target.labels), tuple(target.follow), last | int(nullable), stripped
 
 
 def lookaround_classes(text: str) -> list[tuple]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import automata
+from . import automata, frontend
 from .errors import DuplicateId, FormatError, PatternSyntaxError, UnsupportedFeature
 from .frontend import RawPattern, host_compile
 
@@ -193,7 +193,6 @@ def _includes_in_group(ids, compiled):
     verdict is an exact language inclusion, so a pair that known verdicts
     already decide through a third pattern k is inferred instead of searched.
     """
-    bits = automata._members  # the positions of a mask's set bits, lowest first
     shared = {}  # id(pattern) -> (pattern, the ids of the rules that use it)
     for rule_id in ids:
         pattern = compiled[rule_id]
@@ -227,7 +226,7 @@ def _includes_in_group(ids, compiled):
                 nsup[j] |= 1 << i
     includes = {}
     for i in range(n):
-        below = [rule_id for j in bits(inc[i]) for rule_id in members[j]]
+        below = [rule_id for j in frontend.members(inc[i]) for rule_id in members[j]]
         for rule_id in members[i]:
             includes[rule_id] = below + [r for r in members[i] if r != rule_id]
     return includes

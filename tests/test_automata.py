@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bench_rules import load_bench_gen
+from bench_rules import bench_rule_set, load_bench_gen
 from rexincl import automata as am
+from rexincl import frontend
 from rexincl import oracle as oc
 from rexincl.errors import AlphabetMismatch, MalformedExpression
 from rexincl.frontend import (
@@ -262,15 +264,105 @@ def test_powerset_of_thompson_matches_positions():
 
 
 def test_decisions_build_no_thompson_nfa(monkeypatch):
+    # Decisions compile in one walk from re's parse tree to positions: no
+    # infix tokens, no shunting-yard, no postfix fold, no Thompson NFA.
     def refuse(*args):
-        raise AssertionError("the decision path built a Thompson NFA")
+        raise AssertionError("the decision path built tokens or a Thompson NFA")
 
     monkeypatch.setattr(am, "thompson", refuse)
+    monkeypatch.setattr(am, "positions", refuse)
+    monkeypatch.setattr(frontend, "parse", refuse)
+    monkeypatch.setattr(frontend, "to_postfix", refuse)
     assert am.check_inclusion("(a|b)*", "a(b|)*").included
     assert am.check_inclusion("a{1,3}", "a*").witness == ""
     rules = [Rule(id=i, pattern=RawPattern(p), polarity="negative")
              for i, p in enumerate(["a+", "a{2}", "b|a", r"\d*"])]
     assert compute_inclusions(rules).removed == {1}
+
+
+def outcome(build, text):
+    """What `build(text)` gives, or the class and message it is refused with."""
+    try:
+        return build(text)
+    except Exception as exc:  # the refusal itself is compared
+        return type(exc), str(exc)
+
+
+def walked(text):
+    compiled = am.compile_pattern(text)
+    return compiled.positions, compiled.stripped_features
+
+
+def folded(text):
+    expr = parse(text)
+    return am.positions(to_postfix(expr)), expr.stripped_features
+
+
+def assert_walk_is_the_fold(texts):
+    # The walk's position automaton is the fold of the postfix program,
+    # labels being the very objects of the tokens, and it is refused where
+    # the token route is, with the same class and message.
+    for text in texts:
+        got, expected = outcome(walked, text), outcome(folded, text)
+        assert got == expected, text
+        if isinstance(got[0], am.Positions):
+            assert all(a is b for a, b in zip(got[0].labels, expected[0].labels)), text
+
+
+# Atoms for repeat draws: ε bodies, anchors and lookarounds among them.
+REPEAT_ATOMS = ["a", "b", "[ab]", r"\d", "()", "(?:)", "(a|)", "^", "$", r"\b", "(?=a)",
+                "(?<!b)", "(?:^|a)"]
+REPEAT_QUANTIFIERS = ["?", "*", "+", "{0}", "{1}", "{2}", "{0,1}", "{0,3}", "{1,3}",
+                      "{2,4}", "{0,}", "{1,}", "{3,}", "{2,3}?"]
+
+
+def repeat_pattern(rng, depth):
+    """A random pattern built mostly of repeats, nested up to `depth`."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(REPEAT_ATOMS)
+    roll = rng.random()
+    if roll < 0.5:
+        return f"(?:{repeat_pattern(rng, depth - 1)}){rng.choice(REPEAT_QUANTIFIERS)}"
+    parts = [repeat_pattern(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+    return "".join(parts) if roll < 0.8 else "(?:" + "|".join(parts) + ")"
+
+
+def test_walk_matches_the_postfix_fold_on_bench_inputs():
+    gen = load_bench_gen()
+    texts = [*EDGE_PATTERNS]
+    for seed in (1, 2, 3, 777):
+        texts += [rule.pattern.text for rule in bench_rule_set(seed, 100)]
+    for seed in (1, 2, 3):
+        for q in gen.check_batch(random.Random(f"{seed}-checks"), 240, 0.1, 200):
+            texts += [q["superset"], q["candidate"]]
+    assert len(set(texts)) > 900
+    assert_walk_is_the_fold(dict.fromkeys(texts))
+
+
+def test_walk_matches_the_postfix_fold_on_random_patterns():
+    rng = random.Random(26)
+    texts = [oc.random_pattern(rng, 5, "abc") for _ in range(3000)]
+    texts += [repeat_pattern(rng, 4) for _ in range(2000)]
+    assert_walk_is_the_fold(texts)
+
+
+@pytest.mark.parametrize("text", ["a{4000}", "a{4001}", "(ab){2000}", "(ab){2001}",
+                                  "((a|b){0,100}){0,100}", "a{4294967294}",
+                                  "(?:){0,4294967294}", r"(a)\1", "(?>a)", "a++", "(",
+                                  "(?<=a|bc)x", "(?=(?<=a|bc))x",
+                                  pytest.param("(" * 1000 + "a" + ")" * 1000, id="deep")])
+def test_walk_refuses_as_the_tokens_do(text):
+    assert_walk_is_the_fold([text])
+
+
+def test_chain_of_optionals_compiles_in_linear_time():
+    # Right-to-left concatenation links each last position once; the fold of
+    # the postfix program ORs every earlier optional's last positions again.
+    start = time.perf_counter()
+    compiled = [am.compile_pattern(t) for t in ("(a?){1999}", "(a?b?){999}", "a?" * 1999)]
+    assert time.perf_counter() - start < 0.2
+    assert compiled[0].positions.follow[1] == sum(1 << p for p in range(2, 2000))
+    assert compiled[2].positions == compiled[0].positions
 
 
 def test_powerset_is_complete_with_the_empty_set_as_sink():

@@ -150,6 +150,34 @@ class TestCheck:
         assert code == 0
         assert "review manually" in out
 
+    # The normalized and postfix lines come from the token route, which the
+    # decision no longer takes; these are the bytes it printed when it did.
+    @pytest.mark.parametrize("argv, code, stdout", [
+        (['check', '\\d{1,3}', '\\d+'], 0,
+         'candidate normalized: \\d&(\\d&(\\d|ε)|ε)\nsuperset  normalized: \\d&\\d*\ncandidate postfix: \\d\\d\\dε|&ε|&\nsuperset  postfix: \\d\\d*&\nΣ-gate: pass\nincluded: True\n'),
+        (['check', '--json', '\\d{1,3}', '\\d+'], 0,
+         '{"candidate": "\\\\d{1,3}", "candidate_normalized": "\\\\d&(\\\\d&(\\\\d|\\u03b5)|\\u03b5)", "candidate_postfix": "\\\\d\\\\d\\\\d\\u03b5|&\\u03b5|&", "flagged_approximate": false, "included": true, "sigma_subset": true, "superset": "\\\\d+", "superset_normalized": "\\\\d&\\\\d*", "superset_postfix": "\\\\d\\\\d*&", "witness": null}\n'),
+        (['check', '(a|b)*c', '(a|b|c)*'], 0,
+         'candidate normalized: [ab]*&c\nsuperset  normalized: [a-c]*\ncandidate postfix: [ab]*c&\nsuperset  postfix: [a-c]*\nΣ-gate: pass\nincluded: True\n'),
+        (['check', '--json', '(a|b)*c', '(a|b|c)*'], 0,
+         '{"candidate": "(a|b)*c", "candidate_normalized": "[ab]*&c", "candidate_postfix": "[ab]*c&", "flagged_approximate": false, "included": true, "sigma_subset": true, "superset": "(a|b|c)*", "superset_normalized": "[a-c]*", "superset_postfix": "[a-c]*", "witness": null}\n'),
+        (['check', 'a|[^\\x00-\\U0010ffff]b', 'a'], 0,
+         'candidate normalized: a|[^\\x00-\\U0010ffff]&b\nsuperset  normalized: a\ncandidate postfix: a[^\\x00-\\U0010ffff]b&|\nsuperset  postfix: a\nΣ-gate: pass\nincluded: True\n'),
+        (['check', '--json', 'a|[^\\x00-\\U0010ffff]b', 'a'], 0,
+         '{"candidate": "a|[^\\\\x00-\\\\U0010ffff]b", "candidate_normalized": "a|[^\\\\x00-\\\\U0010ffff]&b", "candidate_postfix": "a[^\\\\x00-\\\\U0010ffff]b&|", "flagged_approximate": false, "included": true, "sigma_subset": true, "superset": "a", "superset_normalized": "a", "superset_postfix": "a", "witness": null}\n'),
+        (['check', '(?=a)b', 'b'], 0,
+         'candidate normalized: b\nsuperset  normalized: b\ncandidate postfix: b\nsuperset  postfix: b\nΣ-gate: pass\nincluded: True\nnote: a side was normalized approximately; review manually\n'),
+        (['check', '--json', '(?=a)b', 'b'], 0,
+         '{"candidate": "(?=a)b", "candidate_normalized": "b", "candidate_postfix": "b", "flagged_approximate": true, "included": true, "sigma_subset": true, "superset": "b", "superset_normalized": "b", "superset_postfix": "b", "witness": null}\n'),
+        (['check', '\\w', 'a'], 1,
+         "candidate normalized: \\w\nsuperset  normalized: a\ncandidate postfix: \\w\nsuperset  postfix: a\nΣ-gate: fail\nincluded: False\nwitness: '0'\n"),
+        (['check', '--json', '\\w', 'a'], 1,
+         '{"candidate": "\\\\w", "candidate_normalized": "\\\\w", "candidate_postfix": "\\\\w", "flagged_approximate": false, "included": false, "sigma_subset": false, "superset": "a", "superset_normalized": "a", "superset_postfix": "a", "witness": "0"}\n'),
+    ], ids=[f"{name}{suffix}" for name in ("repeat", "star", "dead-label", "lookahead", "class")
+            for suffix in ("", "-json")])
+    def test_display_bytes_are_pinned(self, capsys, argv, code, stdout):
+        assert run(capsys, *argv)[:2] == (code, stdout)
+
 
 class TestExplain:
     def test_trace_table_rows(self, capsys):
