@@ -149,7 +149,9 @@ class Dfa:
         """`live[q]` is true when some string leads from state q to an
         accepting state.  A reverse reachability sweep over the sparse rows
         from the accepting states, run once per DFA; when the sink accepts,
-        as in a complement, every state whose row misses a block reaches it."""
+        as in a complement, every state whose row misses a block reaches it.
+        `_determinize` seeds the value when it can read it off the positions,
+        and `replace`, as in `complement`, does not carry a seeded value."""
         rows = self.rows
         preds = [[] for _ in rows]
         for q, row in enumerate(rows):
@@ -170,11 +172,15 @@ class Dfa:
     @cached_property
     def live_steps(self) -> tuple:
         """`live_steps[q]` holds (block index, successor) for every live
-        successor of state q, in block order; empty when q is dead."""
+        successor of state q, in block order; empty when q is dead.  When
+        the only dead state is the sink, which no row names, these are the
+        rows' items."""
         live, sink = self.live, self.sink
         if sink is not None and live[sink]:  # a complement: steps into the sink count
             return tuple(tuple((i, dst) for i, dst in enumerate(row) if live[dst])
                          for row in self.table)
+        if live.count(False) == (sink is not None):  # no dead state but the sink
+            return tuple(tuple(row.items()) for row in self.rows)
         return tuple(tuple((i, dst) for i, dst in row.items() if live[dst])
                      for row in self.rows)
 
@@ -374,14 +380,24 @@ def _determinize(pos: Positions, alphabet: tuple, columns: dict) -> Dfa:
     the blocks each label is made of.
 
     A DFA state is a set of positions, and the start state is {0}.  A row
-    ORs the follow sets of the state's members, and gives each block the
-    positions of that union whose label holds the block, so only the blocks
-    of labels some follower reads get an entry.  It ANDs the union with each
-    label's positions, or, when the union has fewer members than the
-    pattern has labels, walks the members' own blocks.  Every other block
-    leads to the empty set, the sink, which is numbered like any other set
-    where the dense table would first meet it: states are numbered
-    breadth-first, and a row's new states in block order.
+    takes the union of the follow sets of the state's members, and gives
+    each block the positions of that union whose label holds the block, so
+    only the blocks of labels some follower reads get an entry.  A state
+    with one member reads its follow set; a larger one ORs, for each
+    nonzero byte of its bits, the union of the follow sets of that byte's
+    members, which is built from at most 8 follow sets the first time that
+    byte value turns up at that place (the "Four Russians" trick of
+    Arlazarov, Dinic, Kronrod and Faradzev), so a dense state costs one OR
+    per byte, not one per member.  The row ANDs the union with each label's
+    positions, or, when the union has fewer members than the pattern has
+    labels, walks the members' own blocks.  Every other block leads to the
+    empty set, the sink, which is numbered like any other set where the
+    dense table would first meet it: states are numbered breadth-first, and
+    a row's new states in block order.
+
+    When every label holds a block, every position lies on an accepted
+    word, so every state but the empty set is live: `live` is recorded from
+    the sets, and no reverse sweep runs for it.
     """
     follow = pos.follow
     blocks_of = [(), *(columns[id(label)] for label in pos.labels)]  # per position
@@ -389,6 +405,7 @@ def _determinize(pos: Positions, alphabet: tuple, columns: dict) -> Dfa:
     for p, label in enumerate(pos.labels, 1):
         readers[id(label)] = readers.get(id(label), 0) | 1 << p
     reads = [(mask, columns[key]) for key, mask in readers.items() if columns[key]]
+    unions = [{} for _ in range(len(follow) // 8 + 1)]  # per byte k: its value -> union
 
     n_blocks = len(alphabet)
     ids = {1: 0}
@@ -396,9 +413,19 @@ def _determinize(pos: Positions, alphabet: tuple, columns: dict) -> Dfa:
     rows = []
     sink = None
     for current in order:  # grows while it is walked
-        reach = 0  # the positions that may follow the state's members
-        for p in members(current):
-            reach |= follow[p]
+        if current.bit_count() == 1:  # reach: the positions that may follow the members
+            reach = follow[current.bit_length() - 1]
+        else:  # one memoized union per nonzero byte of the state
+            reach = 0
+            for k, byte in enumerate(current.to_bytes((current.bit_length() + 7) // 8, "little")):
+                if byte:
+                    union = unions[k].get(byte)
+                    if union is None:
+                        union = 0
+                        for b in members(byte):
+                            union |= follow[k << 3 | b]
+                        unions[k][byte] = union
+                    reach |= union
         targets = {}  # block index -> a nonempty set of positions
         if reach.bit_count() < len(reads):
             for p in members(reach):
@@ -425,13 +452,16 @@ def _determinize(pos: Positions, alphabet: tuple, columns: dict) -> Dfa:
             order.append(0)
         rows.append(row)
     final = pos.final
-    return Dfa(
+    dfa = Dfa(
         start=0,
         accepting=frozenset(i for i, s in enumerate(order) if s & final),
         rows=tuple(rows),
         sink=sink,
         alphabet=alphabet,
     )
+    if len(reads) == len(readers):  # no label is empty
+        dfa.__dict__["live"] = tuple(s != 0 for s in order)  # seeds the cached property
+    return dfa
 
 
 def complete(dfa: Dfa, sigma: tuple) -> Dfa:

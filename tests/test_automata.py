@@ -234,9 +234,16 @@ def reference_position_determinize(pos, alphabet):
     return tuple(table), frozenset(k for k, s in enumerate(order) if s & final)
 
 
+# Patterns whose DFA states hold many positions, so that a state's byte
+# unions cross the boundaries between positions 7 and 8 and 15 and 16.
+DENSE_PATTERNS = [*(f"(a?){{{n}}}" for n in (6, 7, 8, 9, 15, 16, 17, 40)),
+                  *(f"(a{{1,{k}}}){{1,{k}}}" for k in (3, 5, 9)),
+                  *(f"(a|b)*a(a|b){{{n}}}" for n in (5, 7, 8)), "(a?b?){20}"]
+
+
 def test_position_determinize_matches_set_based_reference():
     groups = 0
-    for patterns in pattern_groups():
+    for patterns in [*pattern_groups(), *([p] for p in DENSE_PATTERNS)]:
         compiled = [am.compile_pattern(p) for p in patterns]
         for pattern, c, dfa in zip(patterns, compiled, am.completed_dfas(compiled)):
             assert (dfa.table, dfa.accepting) == reference_position_determinize(
@@ -355,6 +362,14 @@ def test_walk_refuses_as_the_tokens_do(text):
     assert_walk_is_the_fold([text])
 
 
+def test_chain_of_optionals_is_decided_in_bounded_time():
+    # Each DFA state of the chain holds up to 1,999 positions; a row ORs one
+    # memoized union per byte of the state, not one follow set per member.
+    start = time.perf_counter()
+    assert am.check_inclusion("a*", "(a?){1999}").included
+    assert time.perf_counter() - start < 0.25
+
+
 def test_chain_of_optionals_compiles_in_linear_time():
     # Right-to-left concatenation links each last position once; the fold of
     # the postfix program ORs every earlier optional's last positions again.
@@ -405,6 +420,28 @@ def test_dead_start_is_not_the_sink():
     dfa = am.completed_dfas([am.compile_pattern(p) for p in EDGE_PATTERNS])[2]
     assert dfa.live[dfa.start] is False and dfa.start != dfa.sink
     assert dfa.live_steps == ((), ())
+
+
+def test_liveness_read_off_the_positions_matches_the_sweep():
+    # With no empty label every nonempty set of positions is live, and
+    # `_determinize` seeds `live` with that; a pattern with an empty label,
+    # and every complement, still takes the reverse sweep.
+    seeded = swept = 0
+    for patterns in [*pattern_groups(), EDGE_PATTERNS]:
+        compiled = [am.compile_pattern(p) for p in patterns]
+        for c, dfa in zip(compiled, am.completed_dfas(compiled)):
+            empty_label = any(charset_size(label) == 0 for label in c.positions.labels)
+            assert ("live" in vars(dfa)) != empty_label, c.pattern
+            seeded += not empty_label
+            swept += empty_label
+            live = am.Dfa.live.func(dfa)
+            steps = tuple(tuple((i, dst) for i, dst in row.items() if live[dst])
+                          for row in dfa.rows)
+            blocks = {i for row in steps for i, _ in row}
+            assert (dfa.live, dfa.live_steps) == (live, steps), c.pattern
+            assert dfa.char_blocks == sum(1 << i for i in blocks), c.pattern
+            assert "live" not in vars(am.complement(dfa))
+    assert seeded > 450 and swept == 2
 
 
 def test_constructor_checks_sink_rules():
