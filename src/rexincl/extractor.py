@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FormatError, OutcomeMismatch, PatternSyntaxError
-from .frontend import host_compile
+from .frontend import host_compile, required_literal
 from .reducer import Rule, read_jsonl
 
 log = logging.getLogger(__name__)
@@ -113,7 +113,13 @@ def split_sentences(doc: Document) -> list[Sentence]:
 
 class CompiledRuleSet:
     """Rules compiled for matching, split by polarity, id order preserved.
-    Rules whose pattern the host engine rejects are logged and skipped."""
+    Rules whose pattern the host engine rejects are logged and skipped.
+
+    `positive` and `negative` hold (rule, rx, subs) triples.  `order` is the
+    matching order, positives first: (literal, rx.search, rule, subs), where
+    literal is `required_literal` of the pattern, a string every match
+    contains, computed once per rule.  A case-insensitive rule's literal is
+    "", so it is always searched."""
 
     def __init__(self, rules):
         self.positive = []
@@ -128,34 +134,43 @@ class CompiledRuleSet:
             (self.positive if rule.polarity == "positive" else self.negative).append(
                 (rule, rx, subs)
             )
+        self.order = [(required_literal(rule.pattern.text), rx.search, rule, subs)
+                      for rule, rx, subs in self.positive + self.negative]
 
 
 def classify(sentence: Sentence, rules: CompiledRuleSet) -> ExtractionResult:
     """First match wins: every positive rule before any negative, id order
-    within each polarity.  The order is fixed."""
-    for group in (rules.positive, rules.negative):
-        for rule, rx, subs in group:
-            m = rx.search(sentence.text)
-            if m is None:
-                continue
-            if rule.polarity == "negative":
-                return ExtractionResult(sentence=sentence, outcome=REJECTED,
-                                        matched_rule_id=rule.id)
-            # Sub-rule capture runs only on the span matched by the main rule.
-            span = m.group(0)
-            values = {}
-            for name, sub_rx in subs:
-                sm = sub_rx.search(span)
-                if sm is not None:
-                    values[name] = sm.group(1) if sm.groups() else sm.group(0)
-            return ExtractionResult(
-                sentence=sentence,
-                outcome=STATISTIC,
-                matched_rule_id=rule.id,
-                statistic_type=rule.statistic_type or "other",
-                apa=bool(rule.apa),
-                values=values,
-            )
+    within each polarity.  The order is fixed.
+
+    A rule is searched only if the sentence holds its literal.  The skip is
+    exact: a match is a substring of the sentence and contains the literal,
+    so a sentence without it has no match.  An empty literal is in every
+    sentence."""
+    text = sentence.text
+    for literal, search, rule, subs in rules.order:
+        if literal not in text:
+            continue
+        m = search(text)
+        if m is None:
+            continue
+        if rule.polarity == "negative":
+            return ExtractionResult(sentence=sentence, outcome=REJECTED,
+                                    matched_rule_id=rule.id)
+        # Sub-rule capture runs only on the span matched by the main rule.
+        span = m.group(0)
+        values = {}
+        for name, sub_rx in subs:
+            sm = sub_rx.search(span)
+            if sm is not None:
+                values[name] = sm.group(1) if sm.groups() else sm.group(0)
+        return ExtractionResult(
+            sentence=sentence,
+            outcome=STATISTIC,
+            matched_rule_id=rule.id,
+            statistic_type=rule.statistic_type or "other",
+            apa=bool(rule.apa),
+            values=values,
+        )
     return ExtractionResult(sentence=sentence, outcome=UNMATCHED)
 
 

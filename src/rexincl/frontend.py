@@ -18,7 +18,9 @@ non-regular constructs are rejected, and so is a pattern of more than
 MAX_SYMBOLS operands once its repetitions are expanded.
 
 `parse_formal` reads the paper's formal notation instead: one character per
-symbol, explicit '&', '|' and '*', parentheses and 'ε'.
+symbol, explicit '&', '|' and '*', parentheses and 'ε'.  `required_literal`
+reads the same tree for a string that every match of a rule contains, which
+lets extraction skip a rule on a sentence without it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import groupby
 
 from .errors import MalformedExpression, PatternSyntaxError, UnsupportedFeature
 
@@ -689,6 +692,25 @@ def lookaround_classes(text: str) -> list[tuple]:
                     if isinstance(sub, _sre.SubPattern):
                         todo.append((sub, nested))
     return classes
+
+
+def required_literal(text: str) -> str:
+    """A string that every match of the pattern contains: the longest run of
+    consecutive LITERAL items at the top level of re's parse tree, the first
+    of equal length, or "" when there is none.  Top-level items are
+    concatenated, so any match holds such a run as a substring.  Any other
+    item ends a run: a class, a repeat, an anchor, a lookaround, a capturing
+    group or one with scoped flags.  re itself inlines a plain `(?:…)` group,
+    reads `[a]` as `a` and factors `ab|ac` into `a[bc]`.  Global
+    IGNORECASE or LOCALE gives "", as a literal then matches more than
+    itself.  A pattern re rejects raises PatternSyntaxError."""
+    tree = _host(_sre.parse, text)
+    if tree.state.flags & (_sre.SRE_FLAG_IGNORECASE | _sre.SRE_FLAG_LOCALE):
+        return ""
+    runs = ("".join(chr(av) for _, av in items)
+            for literal, items in groupby(tree.data, lambda item: item[0] is _sre.LITERAL)
+            if literal)
+    return max(runs, key=len, default="")
 
 
 def parse_formal(text: str) -> NormalizedExpr:

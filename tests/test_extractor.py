@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 import extract_fixture as fx
+from bench_rules import bench_rule_set, load_bench_gen
 from rexincl.errors import FormatError, OutcomeMismatch
 from rexincl.extractor import (
     REJECTED,
@@ -10,6 +12,7 @@ from rexincl.extractor import (
     UNMATCHED,
     CompiledRuleSet,
     Document,
+    ExtractionResult,
     Sentence,
     bench,
     classify,
@@ -113,6 +116,86 @@ class TestClassify:
         compiled = CompiledRuleSet([deep, Rule(id=1, pattern=RawPattern("b"), polarity="negative")])
         assert [rule.id for rule, _, _ in compiled.negative] == [1]
         assert "skipping rule 0: pattern too long or too deeply nested" in caplog.text
+
+
+def classify_every_rule(sentence, compiled):
+    """`classify` without the literal skip: every rule is searched in the
+    fixed order, positives first, until one matches."""
+    for rule, rx, subs in compiled.positive + compiled.negative:
+        m = rx.search(sentence.text)
+        if m is None:
+            continue
+        if rule.polarity == "negative":
+            return ExtractionResult(sentence, REJECTED, matched_rule_id=rule.id)
+        values = {}
+        for name, sub_rx in subs:
+            sm = sub_rx.search(m.group(0))
+            if sm is not None:
+                values[name] = sm.group(1) if sm.groups() else sm.group(0)
+        return ExtractionResult(sentence, STATISTIC, rule.id,
+                                rule.statistic_type or "other", bool(rule.apa), values)
+    return ExtractionResult(sentence, UNMATCHED)
+
+
+# Rules whose literal ends at a flag, a lookaround or an anchor, or that have
+# none because their whole pattern is case-insensitive.
+FLAGGED_RULES = [
+    Rule(id=0, pattern=RawPattern(r"(?i)t\(\d+\)"), polarity="positive",
+         statistic_type="t", subrules=(("df", RawPattern(r"(?i)T\((\d+)")),)),
+    Rule(id=1, pattern=RawPattern(r"(?i:CHI)-square of \d+"), polarity="positive",
+         statistic_type="chi"),
+    Rule(id=2, pattern=RawPattern(r"r(?= =) = \.\d+"), polarity="positive",
+         statistic_type="r"),
+    Rule(id=3, pattern=RawPattern(r"(?<=, )p < \.\d+"), polarity="positive",
+         statistic_type="p"),
+    Rule(id=4, pattern=RawPattern(r"^N = \d+"), polarity="positive", statistic_type="n"),
+    Rule(id=5, pattern=RawPattern(r"(?i)table \d"), polarity="negative"),
+    Rule(id=6, pattern=RawPattern(r"\d+ trials\.$"), polarity="negative"),
+    Rule(id=7, pattern=RawPattern(r"(?i:fig)ure \d"), polarity="negative"),
+]
+FLAGGED_TEXTS = [
+    "We saw T(12) here.", "We saw t(3) here.", "CHI-square of 4 held.",
+    "chi-square of 4 held.", "Chi-Square of 4 held.", "Then r = .42 held.",
+    "Then r=.42 held.", "Then, p < .05 held.", "Then p < .05 held.", "N = 40 took part.",
+    "So N = 40 took part.", "TABLE 3 lists it.", "See Table 3.", "We ran 60 trials.",
+    "We ran 60 trials. Then 2.", "FIGure 2 plots it.", "Figure 2 plots it.",
+    "FIGURE 2 plots it.", "Nothing but 7 here.",
+]
+
+
+class TestLiteralSkip:
+    """`classify` skips a rule whose literal the sentence lacks; the results
+    must be those of searching every rule."""
+
+    @staticmethod
+    def assert_same(rules, sentences):
+        compiled = CompiledRuleSet(rules)
+        for sentence in sentences:
+            assert (classify(sentence, compiled).to_obj()
+                    == classify_every_rule(sentence, compiled).to_obj()), sentence.text
+
+    def test_fixture_rules(self):
+        sentences = [s for doc in fx.build_corpus() for s in split_sentences(doc)]
+        self.assert_same(fx.RULES, sentences)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bench_rule_sets(self, seed):
+        gen = load_bench_gen()
+        specs = gen.rule_set(random.Random(f"{seed}-rules"), 100)
+        docs, _ = gen.corpus(random.Random(f"{seed}-corpus"), specs, 2000)
+        sentences = [s for doc in docs
+                     for s in split_sentences(Document(doc["doc_id"], doc["text"]))]
+        self.assert_same(bench_rule_set(seed, 100), sentences)
+
+    def test_flagged_anchored_and_lookaround_rules(self):
+        self.assert_same(FLAGGED_RULES, [sent(text) for text in FLAGGED_TEXTS])
+
+    def test_case_insensitive_rule_is_never_skipped(self):
+        compiled = CompiledRuleSet(FLAGGED_RULES)
+        literals = [literal for literal, *_ in compiled.order]
+        assert literals == ["", "-square of ", " = .", "p < .", "N = ", "", " trials.", "ure "]
+        res = classify(sent("We saw T(12) here."), compiled)
+        assert (res.matched_rule_id, res.values) == (0, {"df": "12"})
 
 
 class TestRunCorpus:

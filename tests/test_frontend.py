@@ -1,3 +1,4 @@
+import random
 import re
 import time
 import warnings
@@ -23,7 +24,7 @@ from rexincl.frontend import (
     shunting_yard_trace,
     to_postfix,
 )
-from rexincl.oracle import strings
+from rexincl.oracle import random_pattern, strings
 
 
 def postfix_of(pattern):
@@ -292,6 +293,38 @@ class TestSizeBound:
         with pytest.raises(PatternSyntaxError) as repeat:
             parse("a{4001}")
         assert str(repeat.value) == str(literal.value)
+
+
+class TestRequiredLiteral:
+    @pytest.mark.parametrize("pattern, literal", [
+        ("(?i)ab", ""), ("(?i:ab)cd", "cd"), ("ab|ac", "a"), ("(?x) a b c", "abc"),
+        ("a{2}b", "b"), (r"a\bb", "a"), ("(?:ab)c", "abc"), ("[a]b", "ab"),
+        ("(?i)k", ""), (r"\d+", ""),
+    ])
+    def test_pinned(self, pattern, literal):
+        assert frontend.required_literal(pattern) == literal
+
+    def test_host_rejected_pattern(self):
+        with pytest.raises(PatternSyntaxError):
+            frontend.required_literal("(?P<x")
+
+    # Flag, group, anchor and lookaround cases beside the random draws.
+    EDGE_CASES = ["(?i:ab)cd", "a(?=b)bc", "(ab)c", "(?-i:a)b", "(?x)a b", "ab|ac",
+                  r"a\bb", "^ab", "ab$", "(?s)a.b", "a{2}b", "(?:ab)+c", "a(?!b)",
+                  "(?<=a)bK", "[a]b", "k(?i:K)", "(?a)Kb", "a|b", "(?m)^K$"]
+
+    def test_every_match_contains_the_literal(self):
+        rng = random.Random(29)
+        patterns = list(self.EDGE_CASES)
+        for _ in range(300):
+            pattern = random_pattern(rng, 4, "abK")
+            patterns += [pattern, rng.choice(["(?i)", "(?x)", "(?s)"]) + pattern]
+        texts = ["".join(rng.choices("abkK\u212a ", k=rng.randint(0, 8)))
+                 for _ in range(300)]
+        for pattern in patterns:
+            literal, rx = frontend.required_literal(pattern), re.compile(pattern)
+            for text in texts:
+                assert literal in text or rx.search(text) is None, (pattern, text)
 
 
 class TestParseFormal:
