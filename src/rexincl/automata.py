@@ -1,12 +1,15 @@
-"""Automata layer: position automata, powerset DFAs, complement, and the
-product-traversal inclusion decision procedure.
+"""Automata layer: position automata, DFAs built a row at a time, and the
+product-walk inclusion decision procedure.
 
 A pattern is compiled to its position (Glushkov) automaton: one state per
 symbol and no ε edges.  `compile_pattern` takes it from `frontend`'s one walk
 of re's parse tree; `positions` folds a postfix program into the same
 automaton, for the formal notation, Thompson NFAs and the tests' reference.
-The one determinizer works over sets of positions.  Thompson NFAs are built
-only for display (`explain`) and for the benchmark's stage-by-stage replay;
+A `LazyDfa` holds a pattern's subset construction over sets of positions,
+and builds a row the first time a walk reaches its state; decisions walk
+those rows, and `_determinize` forces all of them into a complete `Dfa` for
+display and the reference procedures.  Thompson NFAs are built only for
+display (`explain`) and for the benchmark's stage-by-stage replay;
 `powerset` determinizes the position automaton of the program an NFA was
 built from.
 
@@ -104,9 +107,25 @@ class Positions:
     final: int
 
     @cached_property
+    def readers(self) -> dict:
+        """id(label) -> (label, the set of positions that read it), labels
+        in the order of their first position.  A run of positions that read
+        one label, as a repeat of a class gives, is added at once."""
+        readers = {}
+        labels = self.labels
+        first = 1  # the first position of the run that ends before p
+        for p, label in enumerate((*labels, None), 1):  # None ends the last run
+            if p > first and label is not labels[first - 1]:
+                run = labels[first - 1]
+                _, mask = readers.get(id(run), (run, 0))
+                readers[id(run)] = run, mask | (1 << p) - (1 << first)
+                first = p
+        return readers
+
+    @cached_property
     def classes(self) -> tuple:
         """The distinct labels, told apart by identity, as `Nfa.classes`."""
-        return tuple({id(label): label for label in self.labels}.values())
+        return tuple(label for label, _ in self.readers.values())
 
 
 @dataclass(frozen=True)
@@ -150,8 +169,8 @@ class Dfa:
         accepting state.  A reverse reachability sweep over the sparse rows
         from the accepting states, run once per DFA; when the sink accepts,
         as in a complement, every state whose row misses a block reaches it.
-        `_determinize` seeds the value when it can read it off the positions,
-        and `replace`, as in `complement`, does not carry a seeded value."""
+        `_determinize` seeds the value from the useful positions, and
+        `replace`, as in `complement`, does not carry a seeded value."""
         rows = self.rows
         preds = [[] for _ in rows]
         for q, row in enumerate(rows):
@@ -359,7 +378,7 @@ def positions(prog: PostfixProgram) -> Positions:
 
 def powerset(nfa: Nfa, alphabet: tuple | None = None) -> Dfa:
     """Determinize the position automaton of the program the NFA was built
-    from, reachable states only: the DFA that production builds for it.
+    from, reachable states only: the DFA that production walks for it.
 
     `alphabet` must be a partition refining the NFA's classes, as
     `partition_classes` returns it; by default the NFA's own partition
@@ -372,95 +391,213 @@ def powerset(nfa: Nfa, alphabet: tuple | None = None) -> Dfa:
     blocks, columns = frontend.partition([*given, *labels])
     if alphabet is not None and blocks != given:
         raise AlphabetMismatch("alphabet does not refine NFA classes")
-    return _determinize(pos, blocks, dict(zip(map(id, labels), columns[len(given):])))
+    return _determinize(LazyDfa(pos, blocks, dict(zip(map(id, labels), columns[len(given):]))))
 
 
-def _determinize(pos: Positions, alphabet: tuple, columns: dict) -> Dfa:
-    """The subset construction over sets of positions, given id(label) ->
-    the blocks each label is made of.
+class LazyDfa:
+    """A pattern's DFA over a partition alphabet, built a row at a time: the
+    row kernel that every decision walks.
 
-    A DFA state is a set of positions, and the start state is {0}.  A row
-    takes the union of the follow sets of the state's members, and gives
-    each block the positions of that union whose label holds the block, so
-    only the blocks of labels some follower reads get an entry.  A state
-    with one member reads its follow set; a larger one ORs, for each
-    nonzero byte of its bits, the union of the follow sets of that byte's
-    members, which is built from at most 8 follow sets the first time that
-    byte value turns up at that place (the "Four Russians" trick of
-    Arlazarov, Dinic, Kronrod and Faradzev), so a dense state costs one OR
-    per byte, not one per member.  The row ANDs the union with each label's
-    positions, or, when the union has fewer members than the pattern has
-    labels, walks the members' own blocks.  Every other block leads to the
-    empty set, the sink, which is numbered like any other set where the
-    dense table would first meet it: states are numbered breadth-first, and
-    a row's new states in block order.
+    A state is a set of positions, numbered as it is found: 0 is the empty
+    set, the sink, and 1 the start {0}.  `rows[q]` maps block index i to the
+    successor of state q on block `alphabet[i]`, in block order, for every
+    successor that is not the sink, as `Dfa.rows` does; `live_steps[q]`
+    holds the items of that row whose successor is live, and is empty when
+    q is dead.  Both are None until `expand(q)` builds them, which a walk
+    calls the first time it reaches q, so it pays only for the rows it
+    reaches.  `accepting` grows as states are found.
 
-    When every label holds a block, every position lies on an accepted
-    word, so every state but the empty set is live: `live` is recorded from
-    the sets, and no reverse sweep runs for it.
+    Liveness comes from the useful positions: those reachable from the
+    start, and co-reachable to a final position, through positions whose
+    label is not empty.  A state is live when it holds a co-reachable
+    position, and `chars`, the blocks of the useful positions' labels, is
+    what `Dfa.char_blocks` reads off a built DFA.  When no label is empty,
+    every position is useful, and every state but the sink is live.
+
+    Its memos belong to one call: a check's pair, or a reduction's polarity
+    group, over that call's partition.
     """
-    follow = pos.follow
-    blocks_of = [(), *(columns[id(label)] for label in pos.labels)]  # per position
-    readers = {}  # id(label) -> the positions that read it
-    for p, label in enumerate(pos.labels, 1):
-        readers[id(label)] = readers.get(id(label), 0) | 1 << p
-    reads = [(mask, columns[key]) for key, mask in readers.items() if columns[key]]
-    unions = [{} for _ in range(len(follow) // 8 + 1)]  # per byte k: its value -> union
 
-    n_blocks = len(alphabet)
-    ids = {1: 0}
-    order = [1]
-    rows = []
-    sink = None
-    for current in order:  # grows while it is walked
-        if current.bit_count() == 1:  # reach: the positions that may follow the members
+    sink = 0
+    start = 1
+
+    def __init__(self, pos: Positions, alphabet: tuple, columns: dict):
+        """`columns` maps id(label) to the blocks each label is made of."""
+        self.alphabet = alphabet
+        self.follow = pos.follow
+        self.final = pos.final
+        self.sets = [0, 1]  # state -> its set of positions
+        self.ids = {0: 0, 1: 1}
+        self.accepting = {1} if pos.final & 1 else set()
+        self.rows = [{}, None]
+        self.live_steps = [(), None]
+        self.labels, self.columns = pos.labels, columns
+        by_block = {}  # block index -> the positions whose label holds it
+        nonempty = 0  # the positions whose label is not empty
+        for key, (_, mask) in pos.readers.items():
+            if columns[key]:
+                nonempty |= mask
+                for i in columns[key]:
+                    by_block[i] = by_block.get(i, 0) | mask
+        self.reads = sorted(by_block.items())
+        self.unions = {}  # k << 8 | byte value -> union of the follow sets of its members
+        everything = (1 << len(self.follow)) - 1
+        # Without an empty label every position is useful, and every state
+        # but the sink is live, so no row's steps need filtering.
+        self.all_live = nonempty == everything - 1
+        if self.all_live:
+            self.useful, self.coreach = nonempty, everything
+        else:
+            self.useful, self.coreach = _useful(self.follow, self.final, nonempty)
+
+    @cached_property
+    def chars(self) -> int:
+        """Bit i is set when block `alphabet[i]` is read by a useful
+        position: the blocks of the accepted words, the Σ gate's side."""
+        useful = self.useful
+        return sum(1 << i for i, mask in self.reads if mask & useful)
+
+    def live(self, q) -> bool:
+        return bool(self.sets[q] & self.coreach)
+
+    def _found(self, s) -> int:
+        """Number `s`, a nonempty set of positions met for the first time."""
+        q = self.ids[s] = len(self.sets)
+        self.sets.append(s)
+        self.rows.append(None)
+        self.live_steps.append(None)
+        if s & self.final:
+            self.accepting.add(q)
+        return q
+
+    def expand(self, q):
+        """Build the row and the live steps of state q.
+
+        Its reach, the positions that may follow a member, is one follow set
+        for a single member; a larger state ORs, for each nonzero byte of
+        its bits, the union of the follow sets of that byte's members, which
+        is built from at most 8 follow sets the first time that byte value
+        turns up at that place (the "Four Russians" trick of Arlazarov,
+        Dinic, Kronrod and Faradzev), so a dense state costs one OR per
+        byte, not one per member.  The reach is split by one reader mask per
+        block, and a reach of one member leads on each block of its label to
+        itself.  Every block missing from the row leads to the sink, and new
+        states are numbered in block order.
+        """
+        sets, follow = self.sets, self.follow
+        current = sets[q]
+        if current.bit_count() == 1:
             reach = follow[current.bit_length() - 1]
-        else:  # one memoized union per nonzero byte of the state
+        else:
             reach = 0
+            unions = self.unions
             for k, byte in enumerate(current.to_bytes((current.bit_length() + 7) // 8, "little")):
                 if byte:
-                    union = unions[k].get(byte)
+                    key = k << 8 | byte
+                    union = unions.get(key)
                     if union is None:
                         union = 0
                         for b in members(byte):
                             union |= follow[k << 3 | b]
-                        unions[k][byte] = union
+                        unions[key] = union
                     reach |= union
-        targets = {}  # block index -> a nonempty set of positions
-        if reach.bit_count() < len(reads):
-            for p in members(reach):
-                for i in blocks_of[p]:
-                    targets[i] = targets.get(i, 0) | 1 << p
+        ids = self.ids
+        followers = reach.bit_count()
+        if followers < 2:  # each block of the one follower's label leads to it
+            blocks = self.columns[id(self.labels[reach.bit_length() - 2])] if reach else ()
+            row = dict.fromkeys(blocks, ids.get(reach) or self._found(reach)) if blocks else {}
         else:
-            for mask, blocks in reads:
+            row = {}
+            for i, mask in self.reads:
                 nxt = reach & mask
                 if nxt:
-                    for i in blocks:
-                        targets[i] = targets.get(i, 0) | nxt
+                    row[i] = ids.get(nxt) or self._found(nxt)
+        self.rows[q] = row
+        co = self.coreach
+        if self.all_live:
+            self.live_steps[q] = tuple(row.items())
+        elif current & co:
+            self.live_steps[q] = tuple((i, dst) for i, dst in row.items() if sets[dst] & co)
+        else:
+            self.live_steps[q] = ()
+
+
+def _useful(follow, final, nonempty):
+    """The useful positions of a position automaton, and its co-reachable
+    ones: those from which a final position can be reached through
+    positions in `nonempty`, whose labels are not empty, position 0 among
+    them when the language is not empty.  The co-reachable set is a
+    fixpoint of passes from the last position down, each of which follows
+    every edge to a later position; the reachable set grows breadth-first
+    from the start."""
+    co = final
+    grown = True
+    while grown:
+        grown = False
+        for p in range(len(follow) - 1, -1, -1):
+            if not co >> p & 1 and follow[p] & nonempty & co:
+                co |= 1 << p
+                grown = True
+    reached, frontier = 0, 1
+    while frontier:
+        nxt = 0
+        for p in members(frontier):
+            nxt |= follow[p]
+        frontier = nxt & nonempty & ~reached
+        reached |= frontier
+    return reached & co, co
+
+
+def lazy_dfas(patterns) -> list[LazyDfa]:
+    """The lazy DFAs of compiled patterns, in order, over one partition of
+    all their classes, so that any two of them can be walked together: the
+    pair for a single check, the polarity group for a reduction.
+    Partitioning the labels gives each label's blocks too."""
+    labels = list({id(c): c for p in patterns for c in p.positions.classes}.values())
+    sigma, columns = frontend.partition(labels)
+    columns = dict(zip(map(id, labels), columns))
+    return [LazyDfa(p.positions, sigma, columns) for p in patterns]
+
+
+def _determinize(lazy: LazyDfa) -> Dfa:
+    """The complete DFA of a lazy one: its rows forced breadth-first from
+    the start, through the one row function that the decision walks read.
+
+    States are numbered breadth-first, a row's new states in block order,
+    and the sink, the empty set, where the dense table would first meet it:
+    at the first block missed by a row.  `live` is recorded from the useful
+    positions, so no reverse sweep runs for it.
+    """
+    n_blocks = len(lazy.alphabet)
+    lazy_rows = lazy.rows
+    ids = {lazy.start: 0}
+    order = [lazy.start]  # Dfa state -> lazy state
+    rows = []
+    sink = None
+    for q in order:  # grows while it is walked
+        if lazy_rows[q] is None:
+            lazy.expand(q)
         row = {}
-        for i in sorted(targets):
+        for i, dst in lazy_rows[q].items():
             if sink is None and i != len(row):  # block len(row) is the first missed
                 sink = len(order)
-                order.append(0)
-            nxt = targets[i]
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-            row[i] = ids[nxt]
+                order.append(lazy.sink)
+            if dst not in ids:
+                ids[dst] = len(order)
+                order.append(dst)
+            row[i] = ids[dst]
         if sink is None and len(row) < n_blocks:  # the first missed block is past the last entry
             sink = len(order)
-            order.append(0)
+            order.append(lazy.sink)
         rows.append(row)
-    final = pos.final
     dfa = Dfa(
         start=0,
-        accepting=frozenset(i for i, s in enumerate(order) if s & final),
+        accepting=frozenset(k for k, q in enumerate(order) if q in lazy.accepting),
         rows=tuple(rows),
         sink=sink,
-        alphabet=alphabet,
+        alphabet=lazy.alphabet,
     )
-    if len(reads) == len(readers):  # no label is empty
-        dfa.__dict__["live"] = tuple(s != 0 for s in order)  # seeds the cached property
+    dfa.__dict__["live"] = tuple(lazy.live(q) for q in order)  # seeds the cached property
     return dfa
 
 
@@ -490,96 +627,108 @@ def _require_comparable(a: Dfa, b: Dfa):
         raise AlphabetMismatch("DFAs are not over the same partition alphabet")
 
 
-def _witness_from(pred, pair, alphabet):
-    labels = []
-    while pred[pair] is not None:
-        pair, i = pred[pair]
-        labels.append(frontend.charset_min(alphabet[i]))
-    return "".join(reversed(labels))
+def _witness_from(path, alphabet):
+    """The word of a path of block indices, one representative character
+    (the lowest code point) per block."""
+    return "".join(frontend.charset_min(alphabet[i]) for i in path)
 
 
 def inclusion(superset_complement: Dfa, candidate: Dfa) -> InclusionVerdict:
-    """The verdict of `_included`, and for a negative one the witness that
-    `_counterexample` spells.
+    """The verdict and shortest witness of `walk_inclusion`, for a superset
+    given by its complement DFA, which is complemented back.  It finds pairs
+    in the same order as `inclusion_unoptimized`, so the path to the first
+    doubly-accepting pair replays into the same shortest witness: one
+    representative character (lowest code point) per block."""
+    _require_comparable(superset_complement, candidate)
+    return walk_inclusion(complement(superset_complement), candidate)
 
-    `superset_complement` must already be the complement of the superset DFA.
-    The witness search runs only once the verdict is known to be negative.
-    It finds pairs in the same order as `inclusion_unoptimized`, so the path
-    to the first doubly-accepting pair replays into the same shortest
-    witness: one representative character (lowest code point) per block.
-    """
-    if _included(superset_complement, candidate):
+
+def walk_inclusion(superset, candidate) -> InclusionVerdict:
+    """Is L(candidate) ⊆ L(superset)?  One breadth-first walk of `_search`
+    over the product gives the verdict, and for a negative one the shortest
+    witness.  The sides are `LazyDfa`s over one partition, or `Dfa`s."""
+    path = _search(superset, candidate, shortest=True)
+    if path is None:
         return InclusionVerdict()
-    pred, pair = _counterexample(superset_complement, candidate)
-    return InclusionVerdict(witness=_witness_from(pred, pair, candidate.alphabet))
+    return InclusionVerdict(witness=_witness_from(path, candidate.alphabet))
 
 
-def _included(superset_complement: Dfa, candidate: Dfa) -> bool:
-    """Whether the candidate is included: a walk over the product pairs
-    (p, q) reached through the candidate's live steps, which stops at the
-    first pair accepting in both automata.
+def _included(superset, candidate) -> bool:
+    """The verdict alone: `_search` stopped at the first step on which the
+    superset falls into a sink that rejects, since the candidate's
+    successor is live and a counterexample is then certain."""
+    return _search(superset, candidate, shortest=False) is None
 
-    A step on a block missing from p's row leads the superset complement
-    into its sink.  When the sink accepts, as in every complement of a
-    determinized DFA, it accepts every continuation, and the candidate's
-    successor is live, so a counterexample is certain at that step.
+
+def _search(superset, candidate, shortest):
+    """The product walk: breadth-first over the pairs (p, q) of a superset
+    state and a candidate state reached through the candidate's live steps,
+    until a pair on which the candidate accepts and the superset does not.
+    It gives None when there is none, so the candidate is included, and
+    otherwise, when `shortest`, the block indices of the path to the first
+    such pair: the shortest counterexample, the same one that
+    `inclusion_unoptimized` finds.  Without `shortest` it gives an empty
+    list, and keeps no path.
+
+    Either side is a `LazyDfa` or a `Dfa`: each has `start`, `accepting`,
+    `rows` and `live_steps`, and a lazy one's entries are None until the
+    walk first reaches the state and expands it.  A block missing from p's
+    row leads the superset into its sink.  When the sink accepts, as in a
+    complement, nothing beyond it is a counterexample, and the step is
+    skipped.  When it rejects, the pair is entered like any other, unless
+    `shortest` is false: then the walk stops, as a counterexample is
+    certain.  Pairs whose candidate state is dead are never entered: no goal
+    lies beyond them, and every predecessor of a live state is live, so each
+    remaining pair is still first found through the same parent, in the
+    same order, and the witness does not change.  A pair's parent and block
+    are kept in lists beside the queue, not as a map to new tuples, which
+    would leave an object per pair for the garbage collector to track.
     """
-    _require_comparable(superset_complement, candidate)
-    sup_rows, sup_acc = superset_complement.rows, superset_complement.accepting
-    sink_accepts = superset_complement.sink in sup_acc
+    sup_rows, sup_acc, sink = superset.rows, superset.accepting, superset.sink
+    sink_rejects = sink is not None and sink not in sup_acc
     cand_steps, cand_acc = candidate.live_steps, candidate.accepting
-    start = (superset_complement.start, candidate.start)
-    if start[0] in sup_acc and start[1] in cand_acc:
-        return False
+    start = (superset.start, candidate.start)
+    if start[1] in cand_acc and start[0] not in sup_acc:
+        return []
     seen = {start}
-    todo = [start]
-    for p, q in todo:  # grows while it is walked
-        sup_row = sup_rows[p]
-        for i, dst in cand_steps[q]:
-            nxt = sup_row.get(i)
-            if nxt is None:
-                if sink_accepts:
-                    return False
-                continue  # the superset complement's sink rejects every continuation
-            pair = (nxt, dst)
-            if pair not in seen:
-                if nxt in sup_acc and dst in cand_acc:
-                    return False
-                seen.add(pair)
-                todo.append(pair)
-    return True
-
-
-def _counterexample(superset_complement: Dfa, candidate: Dfa):
-    """The witness search of `inclusion`: breadth-first over the product
-    pairs, it gives the map from each pair found to (its parent, block
-    index) and the first doubly-accepting pair, or None when the candidate
-    is included.
-
-    Pairs whose candidate state is dead are never entered: no
-    doubly-accepting pair lies beyond them.  Every predecessor of a live
-    state is live, so each remaining pair is still first found through the
-    same parent, in the same order, and the witness does not change.
-    """
-    _require_comparable(superset_complement, candidate)
-    sup_rows, sup_sink = superset_complement.rows, superset_complement.sink
-    sup_acc = superset_complement.accepting
-    cand_steps, cand_acc = candidate.live_steps, candidate.accepting
-    start = (superset_complement.start, candidate.start)
-    pred = {start: None}
-    if start[0] in sup_acc and start[1] in cand_acc:
-        return pred, start
     queue = [start]
+    if shortest:
+        parents, blocks = [None], [None]  # per queued pair: its parent, the block to it
     for pair in queue:  # grows while it is walked
         p, q = pair
         sup_row = sup_rows[p]
-        for i, dst in cand_steps[q]:
-            nxt = (sup_row.get(i, sup_sink), dst)
-            if nxt not in pred:
-                pred[nxt] = (pair, i)
-                if nxt[0] in sup_acc and nxt[1] in cand_acc:
-                    return pred, nxt
-                queue.append(nxt)
+        if sup_row is None:
+            superset.expand(p)
+            sup_row = sup_rows[p]
+        steps = cand_steps[q]
+        if steps is None:
+            candidate.expand(q)
+            steps = cand_steps[q]
+        for i, dst in steps:
+            nxt = sup_row.get(i)
+            if nxt is None:
+                if not sink_rejects:
+                    continue
+                if not shortest:
+                    return []
+                nxt = sink
+            found = (nxt, dst)
+            if found not in seen:
+                if dst in cand_acc and nxt not in sup_acc:
+                    if not shortest:
+                        return []
+                    index = {queued: k for k, queued in enumerate(queue)}
+                    path = [i]
+                    while pair is not start:
+                        k = index[pair]
+                        path.append(blocks[k])
+                        pair = parents[k]
+                    return path[::-1]
+                seen.add(found)
+                queue.append(found)
+                if shortest:
+                    parents.append(pair)
+                    blocks.append(i)
     return None
 
 
@@ -606,7 +755,11 @@ def inclusion_unoptimized(a1: Dfa, a2: Dfa) -> InclusionVerdict:
         pair = queue[i]
         i += 1
         if pair in goal:
-            return InclusionVerdict(witness=_witness_from(pred, pair, alphabet))
+            path = []
+            while pred[pair] is not None:
+                pair, block = pred[pair]
+                path.append(block)
+            return InclusionVerdict(witness=_witness_from(path[::-1], alphabet))
         for block in range(len(alphabet)):
             nxt = product_trans[(pair, block)]
             if nxt not in pred:
@@ -628,7 +781,7 @@ def alphabet_subset(candidate: Nfa, superset: Nfa) -> bool:
 @dataclass(frozen=True)
 class CompiledPattern:
     """A pattern's position automaton, built once in one walk of re's parse
-    tree, and the features stripped on the way; `completed_dfas` builds DFAs
+    tree, and the features stripped on the way; `lazy_dfas` makes its DFA
     over the partition of the patterns passed with it: the pair for a single
     check, the polarity group for a reduction."""
 
@@ -654,27 +807,25 @@ def compile_postfix(prog: PostfixProgram) -> CompiledPattern:
 
 def completed_dfas(patterns) -> list[Dfa]:
     """Complete DFAs of compiled patterns, in order, over one partition of
-    all their classes, so that any two of them can be compared: the pair
-    for a single check, the polarity group for a reduction.  Partitioning
-    the labels gives each label's blocks too, so no DFA partitions again."""
-    labels = list({id(c): c for p in patterns for c in p.positions.classes}.values())
-    sigma, columns = frontend.partition(labels)
-    columns = dict(zip(map(id, labels), columns))
-    return [_determinize(p.positions, sigma, columns) for p in patterns]
+    all their classes: each `lazy_dfas` entry with every row forced.  The
+    decisions walk the lazy ones; display and the reference procedures
+    read these."""
+    return [_determinize(lazy) for lazy in lazy_dfas(patterns)]
 
 
 def decide_inclusion(superset: CompiledPattern, candidate: CompiledPattern) -> InclusionVerdict:
-    """Full decision: the pair's `completed_dfas`, complement, product
-    traversal.  A candidate character the superset cannot match lands in a
-    block on which the superset's DFA goes to its sink, which its complement
-    accepts, so no separate Σ gate is needed for the verdict or the witness."""
-    sup_dfa, cand_dfa = completed_dfas([superset, candidate])
-    return inclusion(complement(sup_dfa), cand_dfa)
+    """Full decision: the pair's `lazy_dfas` and one product walk over
+    them, which builds only the rows it reaches, so a short witness is found
+    without determinizing either side.  A candidate character the superset
+    cannot match lands in a block on which the superset goes to its sink,
+    which rejects, so no separate Σ gate is needed for the verdict or the
+    witness."""
+    return walk_inclusion(*lazy_dfas([superset, candidate]))
 
 
 def check_inclusion(superset: str, candidate: str) -> InclusionVerdict:
     """Convenience wrapper over raw pattern strings: is L(candidate) ⊆
-    L(superset)?"""
+    L(superset)?  `decide_inclusion` on their compiled patterns."""
     return decide_inclusion(compile_pattern(superset), compile_pattern(candidate))
 
 

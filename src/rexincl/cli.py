@@ -87,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_check(args) -> int:
     cand = automata.compile_pattern(args.candidate)
     sup = automata.compile_pattern(args.superset)
-    sup_dfa, cand_dfa = automata.completed_dfas([sup, cand])
-    sigma_ok = not cand_dfa.char_blocks & ~sup_dfa.char_blocks  # the reducer's Σ gate
-    verdict = automata.inclusion(automata.complement(sup_dfa), cand_dfa)
+    sup_dfa, cand_dfa = automata.lazy_dfas([sup, cand])
+    sigma_ok = not cand_dfa.chars & ~sup_dfa.chars  # the reducer's Σ gate
+    verdict = automata.walk_inclusion(sup_dfa, cand_dfa)
     approximate = sup.approximate or cand.approximate
     # The display's tokens, which the decision does not build.
     cand_expr, sup_expr = frontend.parse(args.candidate), frontend.parse(args.superset)

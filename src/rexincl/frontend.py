@@ -408,6 +408,8 @@ def _lower(items, stripped, target):
 
 
 def _lower_item(op, av, stripped, target):
+    """The piece of one parse-tree item; a repeat is lowered by
+    `_lower_repeat`, which fuses the repeats nested directly in it."""
     if op in _SYMBOL_OPS:
         return target.symbol(_symbol_class(op, av))
     if op is _sre.BRANCH:
@@ -418,10 +420,11 @@ def _lower_item(op, av, stripped, target):
         if add_flags & ~_EXACT_FLAGS:
             stripped.append("flag")
         return _lower(body, stripped, target)
-    if op in (_sre.MAX_REPEAT, _sre.MIN_REPEAT):  # a lazy repeat reads as greedy
+    if op in _REPEAT_OPS:  # a lazy repeat reads as greedy
         m, n, body = av
-        n = None if n == _sre.MAXREPEAT else n
-        return _repeat(_lower(body, stripped, target), m, n, target)
+        if len(body.data) == 1 and body.data[0][0] in _NESTING_OPS:  # may hold a repeat to fuse
+            return _lower_repeat(av, stripped, target)
+        return _repeat(_lower(body, stripped, target), m, None if n == _sre.MAXREPEAT else n, target)
     if op is _sre.AT:
         stripped.append("anchor")
         return None
@@ -434,6 +437,8 @@ def _lower_item(op, av, stripped, target):
 
 
 _SYMBOL_OPS = (_sre.IN, _sre.LITERAL, _sre.NOT_LITERAL, _sre.ANY)  # one character each
+_REPEAT_OPS = (_sre.MAX_REPEAT, _sre.MIN_REPEAT)
+_NESTING_OPS = (*_REPEAT_OPS, _sre.SUBPATTERN)  # the items a nested repeat is seen through
 
 
 def _symbol_class(op, av) -> tuple:
@@ -476,12 +481,76 @@ def _repeat(piece, m, n, target):
     """X{m,n}, or X{m,} when n is None: m copies of X followed by n-m
     optional copies, or by X*.  The whole repeat is counted, ε as one
     operand, before any of it is built.  ε repeated is ε* or ε|…|ε."""
-    size = piece[0] if piece else 1
-    rest = size if n is None else (size + 1) * (n - m)
-    _bounded(size * m + rest)
-    if piece is None and n is not None:  # with n-m alternations
-        return _alt([None] * (n - m + 1), target)
-    return target.repeat(piece, m, n, rest + (size * m if piece else 0))
+    if piece is None:
+        _expanded(1, m, n)
+        return target.repeat(None, m, n, 1) if n is None else _alt([None] * (n - m + 1), target)
+    return target.repeat(piece, m, n, _expanded(piece[0], m, n))
+
+
+def _lower_repeat(av, stripped, target):
+    """A repeat item, (Y{a,b}){c,d} lowered as Y{c·a, d·b} when that is the
+    same language.  It is, since (Y{a,b})^k is Y{k·a, k·b}, when the
+    ranges for successive k leave no gap between them: a ≥ 1, and c = d or
+    (k+1)·a ≤ k·b + 1 at k = max(c, 1), and c = 0 only with a = 1.  The
+    inner repeat is the whole body, seen through groups that add and remove
+    no flag, and a fused repeat fuses on with the repeat around it.  Each
+    level is still counted and refused as the nested expansion would be, so
+    the size a fused piece carries is the nested one.  A body that lowers to
+    ε is not fused, nor is an inner repeat that may be empty, as in
+    (a?){n}."""
+    counts = []  # the (m, n) of each nested repeat, outermost first
+    while av is not None:
+        m, n, body = av
+        counts.append((m, None if n == _sre.MAXREPEAT else n))
+        av = _inner_repeat(body)
+    piece = _lower(body, stripped, target)
+    lo, hi = counts.pop()
+    size = None  # piece{lo,hi}'s nested size, once a level is fused into it
+    while counts:
+        c, d = counts.pop()
+        if piece is not None and _gapless(lo, hi, c, d):
+            inner = size if size is not None else _expanded(piece[0], lo, hi)
+            size = _expanded(inner, c, d)
+            if d == 0:  # c = 0 too: Y{0}
+                hi = 0
+            elif hi is not None and d is not None:
+                hi *= d
+            else:  # unbounded
+                hi = None
+            lo *= c
+            continue
+        piece = _repeat(piece, lo, hi, target) if size is None else target.repeat(piece, lo, hi, size)
+        lo, hi, size = c, d, None
+    return _repeat(piece, lo, hi, target) if size is None else target.repeat(piece, lo, hi, size)
+
+
+def _inner_repeat(items):
+    """(m, n, body) of the repeat that a sequence of parse-tree items is,
+    seen through groups that add and remove no flag, or None."""
+    while len(items.data) == 1:
+        op, av = items.data[0]
+        if op in _REPEAT_OPS:
+            return av
+        if op is not _sre.SUBPATTERN or av[1] or av[2]:
+            return None
+        items = av[3]
+    return None
+
+
+def _gapless(a, b, c, d):
+    """Whether (Y{a,b}){c,d} is fused into Y{c·a, d·b}, b or d None for no
+    upper bound: whether the ranges k·a to k·b, for k from c to d, join
+    into one, under the conditions `_lower_repeat` names."""
+    if a < 1 or c == 0 and a != 1:
+        return False
+    k = max(c, 1)
+    return c == d or b is None or (k + 1) * a <= k * b + 1
+
+
+def _expanded(size, m, n):
+    """The operands of X{m,n} for an X of `size` operands, refused past
+    MAX_SYMBOLS, as `_repeat` counts them."""
+    return _bounded(size * m + (size if n is None else (size + 1) * (n - m)))
 
 
 class _Tokens:

@@ -185,13 +185,16 @@ def _includes_in_group(ids, compiled):
 
     Rules that share a pattern text share one compiled pattern; they include
     each other, and everything else is decided once per distinct pattern.
-    All patterns of the group share one partition alphabet, so each one's
-    complete DFA and its complement are built once and reused across all of
-    its pairs.  A pattern's characters are its DFA's `char_blocks`, and a
-    pair is searched only when the candidate's lie inside the superset's:
-    the Σ gate that `rexincl check` prints, tested pair by pair.  Every
-    verdict is an exact language inclusion, so a pair that known verdicts
-    already decide through a third pattern k is inferred instead of searched.
+    All patterns of the group share one partition alphabet, and each one's
+    `LazyDfa` over it, made for this call, serves every pair it is on, as
+    superset or as candidate: a row is built the first time any walk
+    reaches its state, and reused by every later walk.  A pattern's
+    characters are the blocks of its useful positions' labels (`chars`),
+    and a pair is searched only when the candidate's lie inside the
+    superset's: the Σ gate that `rexincl check` prints, tested pair by pair.
+    Every verdict is an exact language inclusion, so a pair that known
+    verdicts already decide through a third pattern k is inferred instead of
+    searched.
     """
     shared = {}  # id(pattern) -> (pattern, the ids of the rules that use it)
     for rule_id in ids:
@@ -199,14 +202,13 @@ def _includes_in_group(ids, compiled):
         shared.setdefault(id(pattern), (pattern, []))[1].append(rule_id)
     patterns = [pattern for pattern, _ in shared.values()]
     members = [rule_ids for _, rule_ids in shared.values()]
-    dfas = automata.completed_dfas(patterns)
+    dfas = automata.lazy_dfas(patterns)
     n = len(patterns)
-    chars = [dfa.char_blocks for dfa in dfas]
+    chars = [dfa.chars for dfa in dfas]
     # Bitsets over positions: bit j of inc[i] (and bit i of sup[j]) when
     # i ⊇ j is known; ninc and nsup likewise when i ⊉ j is known.
     inc, sup, ninc, nsup = ([0] * n for _ in range(4))
     for i in range(n):
-        comp = automata.complement(dfas[i])
         for j in range(n):
             # The Σ gate, a necessary condition cheaper than the product:
             # j uses no block outside i's characters.
@@ -217,7 +219,7 @@ def _includes_in_group(ids, compiled):
             elif sup[i] & nsup[j] or inc[j] & ninc[i]:  # k ⊇ i, k ⊉ j; or j ⊇ k, i ⊉ k
                 included = False
             else:
-                included = automata._included(comp, dfas[j])
+                included = automata._included(dfas[i], dfas[j])
             if included:
                 inc[i] |= 1 << j
                 sup[j] |= 1 << i

@@ -423,17 +423,17 @@ def test_dead_start_is_not_the_sink():
 
 
 def test_liveness_read_off_the_positions_matches_the_sweep():
-    # With no empty label every nonempty set of positions is live, and
-    # `_determinize` seeds `live` with that; a pattern with an empty label,
-    # and every complement, still takes the reverse sweep.
-    seeded = swept = 0
+    # `_determinize` seeds `live` from the useful positions, also for a
+    # pattern with an empty label; every complement still takes the reverse
+    # sweep.
+    seeded = empty_labels = 0
     for patterns in [*pattern_groups(), EDGE_PATTERNS]:
         compiled = [am.compile_pattern(p) for p in patterns]
         for c, dfa in zip(compiled, am.completed_dfas(compiled)):
             empty_label = any(charset_size(label) == 0 for label in c.positions.labels)
-            assert ("live" in vars(dfa)) != empty_label, c.pattern
-            seeded += not empty_label
-            swept += empty_label
+            assert "live" in vars(dfa), c.pattern
+            seeded += 1
+            empty_labels += empty_label
             live = am.Dfa.live.func(dfa)
             steps = tuple(tuple((i, dst) for i, dst in row.items() if live[dst])
                           for row in dfa.rows)
@@ -441,7 +441,7 @@ def test_liveness_read_off_the_positions_matches_the_sweep():
             assert (dfa.live, dfa.live_steps) == (live, steps), c.pattern
             assert dfa.char_blocks == sum(1 << i for i in blocks), c.pattern
             assert "live" not in vars(am.complement(dfa))
-    assert seeded > 450 and swept == 2
+    assert seeded > 450 and empty_labels == 2
 
 
 def test_constructor_checks_sink_rules():
@@ -460,14 +460,19 @@ def test_constructor_checks_sink_rules():
 def test_decision_walk_matches_reference():
     # Every ordered pair of each group, over the group's partition: the walk,
     # which stops where the superset falls into its sink, gives the verdict
-    # of the explicit product.  The explicit product of two bench rules costs
-    # about 8 ms, so a bench rule group gives its first 8 patterns.
+    # of the explicit product, on the built DFAs and on the lazy ones, whose
+    # rows are shared by all the group's walks as the reducer shares them.
+    # The explicit product of two bench rules costs about 8 ms, so a bench
+    # rule group gives its first 8 patterns.
     pairs = 0
     for patterns in [*pattern_groups(), EDGE_PATTERNS]:
-        dfas = am.completed_dfas([am.compile_pattern(p) for p in patterns[:8]])
-        for sup, cand in itertools.product(dfas, repeat=2):
+        compiled = [am.compile_pattern(p) for p in patterns[:8]]
+        dfas, lazy = am.completed_dfas(compiled), am.lazy_dfas(compiled)
+        for (sup, cand), (lazy_sup, lazy_cand) in zip(itertools.product(dfas, repeat=2),
+                                                      itertools.product(lazy, repeat=2)):
             expected = am.inclusion_unoptimized(sup, cand).included
-            assert am._included(am.complement(sup), cand) == expected, patterns
+            assert am._included(sup, cand) == expected, patterns
+            assert am._included(lazy_sup, lazy_cand) == expected, patterns
             pairs += 1
     assert pairs > 900
 
@@ -480,6 +485,75 @@ def test_complemented_sides_match_reference():
         for s, c in ((am.complement(sup), cand), (sup, am.complement(cand)),
                      (am.complement(sup), am.complement(cand))):
             assert am.inclusion(am.complement(s), c) == am.inclusion_unoptimized(s, c)
+
+
+# Labels behind an empty class: a dead branch, a star of nothing, a dead
+# tail, and a live pattern around a dead loop.
+EMPTY_CLASS = r"[^\x00-\U0010ffff]"
+EMPTY_LABEL_PATTERNS = [p.replace("∅", EMPTY_CLASS) for p in ("a|∅b", "∅*", "a∅", "(a∅|b)*c", "∅b|a*")]
+
+
+def with_empty_label(rng):
+    """Two random patterns over ab joined around the empty class: dead and
+    live branches, loops and tails."""
+    shape = rng.choice(["(?:{a})|{e}(?:{b})", "(?:{a}{e}|{b})*", "(?:{a})*{e}?(?:{b})",
+                        "{e}*(?:{a})", "(?:{a}|{e})(?:{b})", "(?:{a})(?:{b}{e})*"])
+    a, b = (oc.random_pattern(rng, 3, "ab", STAR_HEAVY) for _ in range(2))
+    return shape.format(a=a, b=b, e=EMPTY_CLASS)
+
+
+def eager_verdict(sup, cand):
+    """The verdict and witness of the built DFAs: both determinized in full
+    over the pair's partition, the superset complemented."""
+    sup_dfa, cand_dfa = am.completed_dfas([sup, cand])
+    return am.inclusion(am.complement(sup_dfa), cand_dfa)
+
+
+def test_lazy_decision_matches_the_built_dfas():
+    # The walk over rows built on demand gives the verdict and the shortest
+    # witness of the walk over the determinized DFAs, on the bench's checks,
+    # on the edge patterns and on patterns with empty labels; on the small
+    # ones the explicit product judges both.
+    gen = load_bench_gen()
+    pairs = [(q["superset"], q["candidate"]) for seed in (1, 2, 3)
+             for q in gen.check_batch(random.Random(f"{seed}-checks"), 240, 0.1, 200)]
+    small = [*EDGE_PATTERNS, *EMPTY_LABEL_PATTERNS, "ab", "a*b*", "b"]
+    judged = list(itertools.product(small, repeat=2))
+    rng = random.Random(33)
+    judged += [(with_empty_label(rng), with_empty_label(rng)) for _ in range(300)]
+    for sup, cand in pairs + judged:
+        compiled = am.compile_pattern(sup), am.compile_pattern(cand)
+        lazy = am.decide_inclusion(*compiled)
+        assert lazy == eager_verdict(*compiled), (sup, cand)
+        if (sup, cand) in judged:
+            assert lazy == reference(*compiled), (sup, cand)
+    assert len(pairs) == 720
+
+
+def test_sigma_gate_from_positions_matches_the_built_dfas():
+    # `chars`, read off the useful positions, is `Dfa.char_blocks`: on the
+    # bench rule groups at 100 rules per polarity, and on every group of
+    # `pattern_groups` with the edge and empty-label patterns.
+    rng = random.Random(34)
+    groups = [*pattern_groups(), EDGE_PATTERNS, EMPTY_LABEL_PATTERNS,
+              *([with_empty_label(rng) for _ in range(4)] for _ in range(50))]
+    for polarity in ("positive", "negative"):
+        groups.append([r.pattern.text for r in bench_rule_set(1, 100) if r.polarity == polarity])
+    for patterns in groups:
+        compiled = [am.compile_pattern(p) for p in patterns]
+        for lazy, dfa in zip(am.lazy_dfas(compiled), am.completed_dfas(compiled)):
+            assert lazy.chars == dfa.char_blocks, patterns
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_a_short_witness_builds_a_handful_of_rows(n):
+    # The superset's DFA has over 2^n states; the walk finds the witness 'b'
+    # after one row on each side.  Rows are counted, not timed.
+    sup, cand = am.lazy_dfas([am.compile_pattern(f"(a|b)*a(a|b){{{n}}}"), am.compile_pattern("b")])
+    assert am.walk_inclusion(sup, cand).witness == "b"
+    built = [sum(row is not None for row in side.rows[1:]) for side in (sup, cand)]
+    assert built == [1, 1]
+    assert len(sup.sets) + len(cand.sets) < 10
 
 
 class TestComplete:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rexincl import frontend
-from rexincl.automata import compile_pattern, completed_dfas, thompson
+from rexincl.automata import Positions, compile_pattern, completed_dfas, positions, thompson
 from rexincl.errors import MalformedExpression, PatternSyntaxError, UnsupportedFeature
 from rexincl.frontend import (
     MAX_CODE,
@@ -293,6 +293,76 @@ class TestSizeBound:
         with pytest.raises(PatternSyntaxError) as repeat:
             parse("a{4001}")
         assert str(repeat.value) == str(literal.value)
+
+
+# Bodies of nested repeats, each with the words it matches: a string of
+# words is split into them one way only, so re decides it without blowing up.
+FUSION_BODIES = {"a": ("a",), "[ab]": ("a", "b"), "(?:ab|c)": ("ab", "c"), "(?:a?b)": ("b", "ab")}
+
+
+def repeat_quantifier(rng):
+    """A quantifier with bounds from 0 to 6, unbounded or not, lazy a fifth
+    of the time."""
+    m = rng.randint(0, 6)
+    q = rng.choice([f"{{{m},{rng.randint(m, 6)}}}", f"{{{m}}}", f"{{{m},}}", "*", "+", "?"])
+    return q + "?" if rng.random() < 0.2 else q
+
+
+def nested_repeat(rng):
+    """(Y{a,b}){c,d}, its inner repeat seen through a capturing, a plain or
+    a doubled group, and the body's words."""
+    body = rng.choice(list(FUSION_BODIES))
+    inner = body + repeat_quantifier(rng)
+    group = rng.choice(["({})", "(?:{})", "((?:{}))", "(({}))"])
+    return group.format(inner) + repeat_quantifier(rng), FUSION_BODIES[body]
+
+
+class TestRepeatFusion:
+    def test_nested_repeats_match_as_re_matches(self):
+        # Strings of 0 to 40 body words, which cross every count a bound up to
+        # 6 * 6 allows, and short strings over the bodies' letters.
+        rng = random.Random(33)
+        for _ in range(300):
+            pattern, words = nested_repeat(rng)
+            dfa = completed_dfas([compile_pattern(pattern)])[0]
+            texts = ["".join(rng.choice(words) for _ in range(t)) for t in range(41)]
+            texts += ["".join(rng.choice("abc") for _ in range(rng.randint(1, 6))) for _ in range(10)]
+            for text in texts:
+                assert dfa.accepts(text) == (re.fullmatch(pattern, text) is not None), (pattern, text)
+
+    @pytest.mark.parametrize("nested, flat", [("(a{1,40}){1,40}", "a{1,1600}"),
+                                              ("(?:(a{1,3}){2}){1,2}", "a{2,12}"),
+                                              ("((?:ab|c){1,}){2,3}", "(?:ab|c){2,}"),
+                                              ("([ab]{1,2})*?", "[ab]*"),
+                                              ("(a+){0}", "a{0}")])
+    def test_gapless_nest_is_one_repeat(self, nested, flat):
+        # (Y{a,b}){c,d} is built as Y{c·a, d·b}: the automaton is the flat one.
+        assert compile_pattern(nested).positions == compile_pattern(flat).positions
+
+    @pytest.mark.parametrize("nested, fused", [("(a{2}){1,2}", "a{2,4}"), ("(a?){3}", "a{0,3}"),
+                                               ("(a{2,3}){0,2}", "a{0,6}"),
+                                               ("(a{1,2}b{0}){2}", "a{2,4}")])
+    def test_a_gap_or_a_longer_body_is_not_fused(self, nested, fused):
+        # {2, 4} leaves out 3; (a?){3} may be empty; {0} ∪ {2..6} needs a = 1;
+        # and a body of more than one item is not a repeat, although b{0}
+        # leaves the language that of a{2,4}.
+        assert compile_pattern(nested).positions != compile_pattern(fused).positions
+
+    def test_flagged_group_is_not_unwrapped(self):
+        # (?i:…) adds a flag: the group is lowered as it is, and stays approximate.
+        compiled = compile_pattern("(?i:a{1,2}){2}")
+        assert compiled.stripped_features == ("flag",)
+        assert compiled.positions != compile_pattern("a{2,4}").positions
+        assert compile_pattern("(?i:a{2}){3}").approximate
+
+    @pytest.mark.parametrize("pattern", ["(a{1,40}){1,40}", "(?:(a{1,3}){2}){1,2}",
+                                         "x((?:ab|c){1,}){2,3}y", "([ab]{1,2})*?", "(a+){0}",
+                                         "((a?b){1,3}){2,}", "(a{2}){1,2}"])
+    def test_positions_are_the_fold_of_the_tokens(self, pattern):
+        # The tokens `parse` gives are fused too: their postfix fold is the
+        # automaton of the one walk.
+        labels, follow, final, _ = frontend.parse_positions(pattern)
+        assert positions(to_postfix(parse(pattern))) == Positions(labels, follow, final)
 
 
 class TestRequiredLiteral:

@@ -361,19 +361,19 @@ class TestComputeInclusions:
         # leaves 9 of the 12 ordered pairs ("a" includes none of the others).
         rules = [neg(0, "a"), neg(1, "a*b*"), neg(2, "[ab]*"), neg(3, "ab")]
         dfas, searched = [], []
-        completed_dfas, included = am.completed_dfas, am._included
+        lazy_dfas, included = am.lazy_dfas, am._included
 
-        def recording_completed_dfas(patterns):
-            built = completed_dfas(patterns)
+        def recording_lazy_dfas(patterns):
+            built = lazy_dfas(patterns)
             dfas[:] = built
             return built
 
-        def recording_search(comp, cand):
-            searched.append((next(i for i, d in enumerate(dfas) if d.rows is comp.rows),
+        def recording_search(sup, cand):
+            searched.append((next(i for i, d in enumerate(dfas) if d is sup),
                              next(i for i, d in enumerate(dfas) if d is cand)))
-            return included(comp, cand)
+            return included(sup, cand)
 
-        monkeypatch.setattr(am, "completed_dfas", recording_completed_dfas)
+        monkeypatch.setattr(am, "lazy_dfas", recording_lazy_dfas)
         monkeypatch.setattr(am, "_included", recording_search)
         report = compute_inclusions(rules)
         assert report.includes == per_pair_reference(rules)
@@ -486,18 +486,18 @@ class TestRepeatedTexts:
     def test_same_text_pairs_are_not_searched(self, monkeypatch):
         # Each search is told back to the texts of its two DFAs.
         texts, searched = {}, []
-        completed_dfas, included = am.completed_dfas, am._included
+        lazy_dfas, included = am.lazy_dfas, am._included
 
-        def recording_completed_dfas(patterns):
-            built = completed_dfas(patterns)
-            texts.update((id(d.rows), p.pattern) for p, d in zip(patterns, built))
+        def recording_lazy_dfas(patterns):
+            built = lazy_dfas(patterns)
+            texts.update((id(d), p.pattern) for p, d in zip(patterns, built))
             return built
 
-        def recording_search(comp, cand):
-            searched.append((texts[id(comp.rows)], texts[id(cand.rows)]))
-            return included(comp, cand)
+        def recording_search(sup, cand):
+            searched.append((texts[id(sup)], texts[id(cand)]))
+            return included(sup, cand)
 
-        monkeypatch.setattr(am, "completed_dfas", recording_completed_dfas)
+        monkeypatch.setattr(am, "lazy_dfas", recording_lazy_dfas)
         monkeypatch.setattr(am, "_included", recording_search)
         compute_inclusions(self.RULES)
         assert searched
