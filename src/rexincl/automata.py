@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 
 from . import frontend
-from .errors import AlphabetMismatch, MalformedExpression
+from .errors import AlphabetMismatch
 from .frontend import (
     PostfixProgram,
     RawPattern,
@@ -135,7 +136,8 @@ class Dfa:
     `alphabet[i]`, in block order, for every successor that is not the sink.
     Every block missing from a row leads to `sink`, a non-accepting state
     (the empty set of positions) whose own row is empty; `sink` is None when
-    no row misses a block.  `table` is the dense view, for display and
+    no row misses a block.  `table` is the dense view that `live` and
+    `live_steps` read.  No decision reads a Dfa: it serves display and the
     reference procedures.  The rows are dicts, so a Dfa is not hashable;
     they are shared with its complement and must not be changed."""
 
@@ -166,20 +168,14 @@ class Dfa:
     @cached_property
     def live(self) -> tuple:
         """`live[q]` is true when some string leads from state q to an
-        accepting state.  A reverse reachability sweep over the sparse rows
-        from the accepting states, run once per DFA; when the sink accepts,
-        as in a complement, every state whose row misses a block reaches it.
-        `_determinize` seeds the value from the useful positions, and
-        `replace`, as in `complement`, does not carry a seeded value."""
-        rows = self.rows
-        preds = [[] for _ in rows]
-        for q, row in enumerate(rows):
-            for dst in row.values():
+        accepting state: a reverse sweep over the dense table from the
+        accepting states, once per DFA.  `_determinize` seeds it from the
+        useful positions; `replace`, as in `complement`, drops the seed."""
+        preds = [[] for _ in self.table]
+        for q, row in enumerate(self.table):
+            for dst in set(row):
                 preds[dst].append(q)
         live = set(self.accepting)
-        if self.sink in live:
-            n_blocks = len(self.alphabet)
-            live.update(q for q, row in enumerate(rows) if len(row) < n_blocks)
         todo = list(live)
         for q in todo:  # grows while it is walked
             for p in preds[q]:
@@ -191,17 +187,9 @@ class Dfa:
     @cached_property
     def live_steps(self) -> tuple:
         """`live_steps[q]` holds (block index, successor) for every live
-        successor of state q, in block order; empty when q is dead.  When
-        the only dead state is the sink, which no row names, these are the
-        rows' items."""
-        live, sink = self.live, self.sink
-        if sink is not None and live[sink]:  # a complement: steps into the sink count
-            return tuple(tuple((i, dst) for i, dst in enumerate(row) if live[dst])
-                         for row in self.table)
-        if live.count(False) == (sink is not None):  # no dead state but the sink
-            return tuple(tuple(row.items()) for row in self.rows)
-        return tuple(tuple((i, dst) for i, dst in row.items() if live[dst])
-                     for row in self.rows)
+        successor of state q, in block order; empty when q is dead."""
+        live = self.live
+        return tuple(tuple((i, d) for i, d in enumerate(row) if live[d]) for row in self.table)
 
     @cached_property
     def char_blocks(self) -> int:
@@ -252,8 +240,9 @@ def thompson(prog: PostfixProgram) -> Nfa:
     each fragment's transition list is extended in place, so the
     construction is linear in the program's length.
     """
-    symbol, epsilon, star = TokenKind.SYMBOL, TokenKind.EPSILON, TokenKind.STAR
-    concat, alt = TokenKind.CONCAT, TokenKind.ALT
+    prog.check()
+    symbol, epsilon = TokenKind.SYMBOL, TokenKind.EPSILON
+    star, concat = TokenKind.STAR, TokenKind.CONCAT
     n = 0  # states allocated so far; a fragment's new states are n and n + 1
     merged = {}  # a right fragment's start -> the left fragment's accept
     # fragment: (start, accept, transitions list)
@@ -266,8 +255,6 @@ def thompson(prog: PostfixProgram) -> Nfa:
             label = tok.chars if kind is symbol else EPS_LABEL
             stack.append((s, e, [(s, label, e)]))
         elif kind is star:
-            if not stack:
-                raise MalformedExpression("star without operand")
             s1, e1, t1 = stack.pop()
             s, e = n, n + 1
             n += 2
@@ -275,8 +262,6 @@ def thompson(prog: PostfixProgram) -> Nfa:
                    (e1, EPS_LABEL, s1), (e1, EPS_LABEL, e)]
             stack.append((s, e, t1))
         elif kind is concat:
-            if len(stack) < 2:
-                raise MalformedExpression("binary operator underflow")
             s2, e2, t2 = stack.pop()
             s1, e1, t1 = stack.pop()
             # Merge e1 with s2 (Thompson concatenation without an ε edge).
@@ -285,9 +270,7 @@ def thompson(prog: PostfixProgram) -> Nfa:
             merged[s2] = e1
             t1 += t2
             stack.append((s1, e2, t1))
-        elif kind is alt:
-            if len(stack) < 2:
-                raise MalformedExpression("binary operator underflow")
+        else:  # alternation
             s2, e2, t2 = stack.pop()
             s1, e1, t1 = stack.pop()
             s, e = n, n + 1
@@ -296,11 +279,7 @@ def thompson(prog: PostfixProgram) -> Nfa:
             t1 += [(s, EPS_LABEL, s1), (s, EPS_LABEL, s2),
                    (e1, EPS_LABEL, e), (e2, EPS_LABEL, e)]
             stack.append((s, e, t1))
-        else:
-            raise MalformedExpression("parenthesis in postfix program")
-    if len(stack) != 1:
-        raise MalformedExpression(f"postfix program leaves {len(stack)} values")
-    start, accept, transitions = stack[0]
+    [(start, accept, transitions)] = stack
 
     # Apply the merges and renumber to dense ids in first-use order: the
     # start first, then the transitions' ends as they come, then the accept.
@@ -327,10 +306,11 @@ def positions(prog: PostfixProgram) -> Positions:
     position of its left operand be followed by the first positions of its
     right one, and star lets its operand's last positions be followed by
     the operand's first ones; alternation only unites.  A malformed program
-    is refused as `thompson` refuses it.
+    is refused first by `PostfixProgram.check`.
     """
-    symbol, epsilon, star = TokenKind.SYMBOL, TokenKind.EPSILON, TokenKind.STAR
-    concat, alt = TokenKind.CONCAT, TokenKind.ALT
+    prog.check()
+    symbol, epsilon = TokenKind.SYMBOL, TokenKind.EPSILON
+    star, alt = TokenKind.STAR, TokenKind.ALT
     labels = []
     follow = [0]  # follow[0], the first positions, is set at the end
     stack = []  # per operand: (first positions, last positions, matches ε)
@@ -344,15 +324,11 @@ def positions(prog: PostfixProgram) -> Positions:
         elif kind is epsilon:
             stack.append((0, 0, True))
         elif kind is star:
-            if not stack:
-                raise MalformedExpression("star without operand")
             first, last, _ = stack.pop()
             for p in members(last):
                 follow[p] |= first
             stack.append((first, last, True))
-        elif kind is concat or kind is alt:
-            if len(stack) < 2:
-                raise MalformedExpression("binary operator underflow")
+        else:  # concatenation or alternation
             first2, last2, empty2 = stack.pop()
             first1, last1, empty1 = stack.pop()
             if kind is alt:
@@ -363,11 +339,7 @@ def positions(prog: PostfixProgram) -> Positions:
                     follow[p] |= first2
             stack.append((first1 | first2 if empty1 else first1,
                           last1 | last2 if empty2 else last2, empty1 and empty2))
-        else:
-            raise MalformedExpression("parenthesis in postfix program")
-    if len(stack) != 1:
-        raise MalformedExpression(f"postfix program leaves {len(stack)} values")
-    first, last, empty = stack[0]
+    [(first, last, empty)] = stack
     follow[0] = first
     return Positions(labels=tuple(labels), follow=tuple(follow), final=last | int(empty))
 
@@ -561,43 +533,35 @@ def lazy_dfas(patterns) -> list[LazyDfa]:
 
 def _determinize(lazy: LazyDfa) -> Dfa:
     """The complete DFA of a lazy one: its rows forced breadth-first from
-    the start, through the one row function that the decision walks read.
-
-    States are numbered breadth-first, a row's new states in block order,
-    and the sink, the empty set, where the dense table would first meet it:
-    at the first block missed by a row.  `live` is recorded from the useful
-    positions, so no reverse sweep runs for it.
+    the start, through the one row function that the decision walks read,
+    and read densely as the tests' set-based reference reads its table:
+    every block in order, a missing entry being the sink, and each state
+    numbered when first met.  The sparse rows are the lazy rows renumbered,
+    the table's entries other than the sink; `table` is seeded, and `live`
+    from the useful positions, so no reverse sweep runs.
     """
-    n_blocks = len(lazy.alphabet)
-    lazy_rows = lazy.rows
+    blocks, rows, sink = range(len(lazy.alphabet)), lazy.rows, lazy.sink
     ids = {lazy.start: 0}
     order = [lazy.start]  # Dfa state -> lazy state
-    rows = []
-    sink = None
+    lines = []  # per state, its successor on every block, as lazy states
     for q in order:  # grows while it is walked
-        if lazy_rows[q] is None:
+        if rows[q] is None:
             lazy.expand(q)
-        row = {}
-        for i, dst in lazy_rows[q].items():
-            if sink is None and i != len(row):  # block len(row) is the first missed
-                sink = len(order)
-                order.append(lazy.sink)
+        line = tuple(map(rows[q].get, blocks, repeat(sink)))
+        for dst in dict.fromkeys(line):  # the distinct successors, in block order
             if dst not in ids:
                 ids[dst] = len(order)
                 order.append(dst)
-            row[i] = ids[dst]
-        if sink is None and len(row) < n_blocks:  # the first missed block is past the last entry
-            sink = len(order)
-            order.append(lazy.sink)
-        rows.append(row)
+        lines.append(line)
     dfa = Dfa(
         start=0,
         accepting=frozenset(k for k, q in enumerate(order) if q in lazy.accepting),
-        rows=tuple(rows),
-        sink=sink,
+        rows=tuple({i: ids[dst] for i, dst in rows[q].items()} for q in order),
+        sink=ids.get(sink),
         alphabet=lazy.alphabet,
     )
-    dfa.__dict__["live"] = tuple(lazy.live(q) for q in order)  # seeds the cached property
+    table = tuple(tuple(map(ids.__getitem__, line)) for line in lines)
+    dfa.__dict__.update(table=table, live=tuple(map(lazy.live, order)))
     return dfa
 
 

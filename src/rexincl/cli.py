@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import signal
 import sys
+import threading
 
 from . import automata, extractor, frontend, oracle, reducer
-from .errors import RexinclError
+from .errors import BoundExceeded, RexinclError
 
 log = logging.getLogger("rexincl")
 
@@ -217,9 +219,27 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _oracle_expired(signum, frame):
+    raise BoundExceeded(f"oracle-verify ran past its budget of {oracle.MAX_SECONDS} s; "
+                        "lower --max-len")
+
+
 def cmd_oracle_verify(args) -> int:
+    """The host's bounded-length verdict.  The host backtracks, so the
+    enumeration runs under a real-time timer of `oracle.MAX_SECONDS`, whose
+    expiry raises BoundExceeded.  Signals reach only the main thread, so a
+    call from another thread runs unbounded."""
     alphabet = oracle.probe_alphabet(args.left, args.right)
-    ok = oracle.verify_inclusion(args.left, args.right, alphabet, args.max_len)
+    timed = threading.current_thread() is threading.main_thread()
+    if timed:
+        previous = signal.signal(signal.SIGALRM, _oracle_expired)
+        signal.setitimer(signal.ITIMER_REAL, oracle.MAX_SECONDS)
+    try:
+        ok = oracle.verify_inclusion(args.left, args.right, alphabet, args.max_len)
+    finally:
+        if timed:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
     print(json.dumps({
         "left": args.left,
         "right": args.right,

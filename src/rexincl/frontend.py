@@ -318,7 +318,35 @@ class NormalizedExpr:
 
 @dataclass(frozen=True)
 class PostfixProgram:
+    """Tokens in postfix order, each operator after its operands.  `check`
+    holds the one arity rule, which `parse_postfix`, `automata.thompson` and
+    `automata.positions` apply before they read the tokens."""
+
     tokens: tuple[Token, ...]
+
+    def check(self):
+        """The program, once a stack evaluation of it is found to meet no
+        parenthesis, an operand for every star, two for every binary
+        operator, and one value at the end; else MalformedExpression."""
+        symbol, epsilon, star = TokenKind.SYMBOL, TokenKind.EPSILON, TokenKind.STAR
+        concat, alt = TokenKind.CONCAT, TokenKind.ALT
+        values = 0  # the operands an evaluation would hold on its stack
+        for tok in self.tokens:
+            kind = tok.kind
+            if kind is symbol or kind is epsilon:
+                values += 1
+            elif kind is star:
+                if not values:
+                    raise MalformedExpression("star without operand")
+            elif kind is concat or kind is alt:
+                if values < 2:
+                    raise MalformedExpression("binary operator underflow")
+                values -= 1
+            else:
+                raise MalformedExpression("parenthesis in postfix program")
+        if values != 1:
+            raise MalformedExpression(f"postfix program leaves {values} values")
+        return self
 
     def __str__(self):
         return "".join(token_str(t) for t in self.tokens)
@@ -886,8 +914,8 @@ def _sya(tokens, trace: list[TraceRow] | None = None):
 
 def to_postfix(expr: NormalizedExpr) -> PostfixProgram:
     """Shunting-yard conversion with precedence * > & > |.  `parse` and
-    `parse_formal` give well-formed infix, so the program is well formed;
-    only `parse_postfix`, which reads outside text, checks it."""
+    `parse_formal` give well-formed infix, so the program passes
+    `PostfixProgram.check`, which its evaluators call."""
     return PostfixProgram(tokens=tuple(_sya(expr.tokens)))
 
 
@@ -909,21 +937,4 @@ def shunting_yard_trace(expr: NormalizedExpr) -> tuple[PostfixProgram, list[Trac
 def parse_postfix(text: str) -> PostfixProgram:
     """Parse a compact postfix string like 'ba|ab|*&' (one char per token);
     an ill-formed program raises MalformedExpression."""
-    prog = PostfixProgram(tokens=tuple(_formal_tokens(text)))
-    values = 0  # the operands an evaluation would hold on its stack
-    for tok in prog.tokens:
-        kind = tok.kind
-        if kind is _LPAREN or kind is _RPAREN:
-            raise MalformedExpression("parenthesis in postfix program")
-        if kind is _STAR:
-            if not values:
-                raise MalformedExpression("star without operand")
-        elif kind is _CONCAT or kind is TokenKind.ALT:
-            if values < 2:
-                raise MalformedExpression("binary operator underflow")
-            values -= 1
-        else:
-            values += 1
-    if values != 1:
-        raise MalformedExpression(f"postfix program leaves {values} values")
-    return prog
+    return PostfixProgram(tokens=tuple(_formal_tokens(text))).check()

@@ -14,6 +14,7 @@ from . import frontend
 from .errors import BoundExceeded
 
 MAX_STRINGS = 1_000_000  # the most strings one enumeration may try
+MAX_SECONDS = 10  # the longest one `oracle-verify` enumeration may run
 MAX_LEN = 8
 
 # The characters `re` folds together with a letter under IGNORECASE besides
@@ -62,7 +63,8 @@ def strings(alphabet, max_len: int):
 
 def enumerate_language(pattern: str, alphabet, max_len: int) -> frozenset:
     """The strings of `strings(alphabet, max_len)` that the host engine
-    fully matches."""
+    fully matches.  No time bound applies: the host may backtrack for long
+    on a nested repeat.  Only `oracle-verify` runs under MAX_SECONDS."""
     host = re.compile(pattern)
     return frozenset(s for s in strings(alphabet, max_len) if host.fullmatch(s))
 
@@ -70,7 +72,9 @@ def enumerate_language(pattern: str, alphabet, max_len: int) -> frozenset:
 def verify_inclusion(sub: str, sup: str, alphabet, max_len: int) -> bool:
     """Bounded-length inclusion check by enumeration: whether no string of
     `strings(alphabet, max_len)` is matched by `sub` and not by `sup`.  A
-    necessary condition only: agreement up to max_len is evidence, not proof."""
+    necessary condition only: agreement up to max_len is evidence, not proof.
+    No time bound applies here either; `oracle-verify` runs its call under
+    MAX_SECONDS."""
     sub_host, sup_host = re.compile(sub), re.compile(sup)
     return not any(sub_host.fullmatch(s) and not sup_host.fullmatch(s)
                    for s in strings(alphabet, max_len))

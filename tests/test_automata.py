@@ -444,6 +444,35 @@ def test_liveness_read_off_the_positions_matches_the_sweep():
     assert seeded > 450 and empty_labels == 2
 
 
+def forward_live(dfa):
+    """Reference liveness: a forward search over the dense table from each
+    state, live when it meets an accepting state; and the live steps it
+    implies, every (block, successor) whose successor is live."""
+    live = []
+    for q in range(dfa.n_states):
+        seen, todo = {q}, [q]
+        for p in todo:  # grows while it is walked
+            for d in dfa.table[p]:
+                if d not in seen:
+                    seen.add(d)
+                    todo.append(d)
+        live.append(bool(seen & dfa.accepting))
+    steps = tuple(tuple((i, d) for i, d in enumerate(row) if live[d]) for row in dfa.table)
+    return tuple(live), steps
+
+
+def test_reference_dfa_liveness_matches_a_forward_search():
+    # Seeded or swept, with or without a sink, accepting in the sink or not.
+    groups = [EDGE_PATTERNS, EMPTY_LABEL_PATTERNS, *itertools.islice(pattern_groups(), 4)]
+    dfas = [TestLiveStates.DFA]
+    for patterns in groups:
+        dfas += am.completed_dfas([am.compile_pattern(p) for p in patterns])
+    complements = [am.complement(dfa) for dfa in dfas]
+    assert any(c.sink is not None and c.live[c.sink] for c in complements)
+    for dfa in dfas + complements:
+        assert (dfa.live, dfa.live_steps) == forward_live(dfa)
+
+
 def test_constructor_checks_sink_rules():
     # Over blocks a, b: a row that misses a block needs a sink, and the sink
     # leads only to itself.

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 import extract_fixture as efx
 import ruleset_fixture as rfx
 from bench_rules import bench_rule_set
-from rexincl import cli, frontend
+from rexincl import cli, frontend, oracle
 from rexincl.reducer import save_rules
 
 
@@ -563,6 +564,22 @@ class TestOracleVerify:
                              "--max-len", "-1")
         assert code == 2
         assert out == "" and "max_len -1" in err
+
+    def test_backtracking_enumeration_ends_within_its_budget(self, capsys, monkeypatch):
+        # The host backtracks exponentially on this nested bounded repeat:
+        # without a time bound, its 781 strings of up to 4 characters take
+        # many seconds.
+        pattern = r"(((\d|\s)?(\s{0,2}Z{2}){0,2}){0,2}|((()?a*){1,3}|\d+){1,3}){2}"
+        monkeypatch.setattr(oracle, "MAX_SECONDS", 0.2)
+        handler = signal.getsignal(signal.SIGALRM)
+        began = time.perf_counter()
+        code, out, err = run(capsys, "oracle-verify", "--left", pattern, "--right", pattern,
+                             "--max-len", "4")
+        assert time.perf_counter() - began < 5
+        assert code == 2
+        assert out == "" and "budget" in err and err.count("\n") == 1 and "Traceback" not in err
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is handler
 
 
 def test_console_script_installed():

@@ -8,6 +8,7 @@ import extract_fixture as efx
 import ruleset_fixture as fx
 from bench_rules import bench_rule_set, load_bench_gen
 from rexincl import automata as am
+from rexincl import frontend
 from rexincl import oracle as oc
 from rexincl import reducer as rd
 from rexincl.errors import DuplicateId, FormatError
@@ -382,12 +383,18 @@ class TestComputeInclusions:
         assert searched == [(1, 0), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0)]
 
     def test_decisions_never_read_the_dense_view(self, monkeypatch):
-        # Reductions and checks walk the sparse rows; only display and the
-        # reference procedures build the dense table.
+        # Reductions and checks walk the lazy rows; only display and the
+        # reference procedures determinize in full, build the dense table or
+        # check a postfix program's arity.
         def no_table(dfa):
             raise AssertionError("the dense table was read")
 
+        def refused(*args):
+            raise AssertionError("display-only code ran")
+
         monkeypatch.setattr(am.Dfa, "table", property(no_table))
+        monkeypatch.setattr(am, "_determinize", refused)
+        monkeypatch.setattr(frontend.PostfixProgram, "check", refused)
         golden = (FIXTURES / "report_bench.json").read_text()
         assert compute_inclusions(bench_rule_set(1, 100)).to_json() + "\n" == golden
         gen = load_bench_gen()
