@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import groupby, repeat
 
 from . import frontend
 from .errors import AlphabetMismatch
@@ -111,16 +111,16 @@ class Positions:
     def readers(self) -> dict:
         """id(label) -> (label, the set of positions that read it), labels
         in the order of their first position.  A run of positions that read
-        one label, as a repeat of a class gives, is added at once."""
+        one label, as a repeat of a class gives, is read by `groupby` and
+        added at once."""
         readers = {}
-        labels = self.labels
-        first = 1  # the first position of the run that ends before p
-        for p, label in enumerate((*labels, None), 1):  # None ends the last run
-            if p > first and label is not labels[first - 1]:
-                run = labels[first - 1]
-                _, mask = readers.get(id(run), (run, 0))
-                readers[id(run)] = run, mask | (1 << p) - (1 << first)
-                first = p
+        first = 1  # the first position of the run
+        for key, run in groupby(self.labels, id):
+            run = list(run)
+            end = first + len(run)
+            _, mask = readers.get(key, (None, 0))
+            readers[key] = run[0], mask | (1 << end) - (1 << first)
+            first = end
         return readers
 
     @cached_property

@@ -191,7 +191,7 @@ def cmd_reduce(args) -> int:
 def cmd_extract(args) -> int:
     rules = reducer.load_rules(args.rules)
     corpus = extractor.load_corpus(args.corpus)
-    report, results = extractor.run_corpus(corpus, rules)
+    report, results = extractor.run_corpus(corpus, rules, budget=extractor.MAX_SECONDS)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report.to_obj(), fh, indent=2, sort_keys=True)
         fh.write("\n")

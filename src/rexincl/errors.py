@@ -35,7 +35,9 @@ class DuplicateId(RexinclError):
 
 
 class BoundExceeded(RexinclError):
-    """Oracle guards (alphabet size, max length, tree depth) were violated."""
+    """A bound on work was exceeded: an oracle guard (alphabet size, max
+    length, tree depth), `oracle-verify`'s time budget, or the time budget
+    of one sentence's classification under `rexincl extract`."""
 
 
 class OutcomeMismatch(RexinclError):

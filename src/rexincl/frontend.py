@@ -450,9 +450,14 @@ def _lower_item(op, av, stripped, target):
         return _lower(body, stripped, target)
     if op in _REPEAT_OPS:  # a lazy repeat reads as greedy
         m, n, body = av
-        if len(body.data) == 1 and body.data[0][0] in _NESTING_OPS:  # may hold a repeat to fuse
-            return _lower_repeat(av, stripped, target)
-        return _repeat(_lower(body, stripped, target), m, None if n == _sre.MAXREPEAT else n, target)
+        n = None if n == _sre.MAXREPEAT else n
+        if len(body.data) == 1:
+            body_op, body_av = body.data[0]
+            if body_op in _SYMBOL_OPS:  # X{m,n} of one symbol, built directly
+                return _repeat(target.symbol(_symbol_class(body_op, body_av)), m, n, target)
+            if body_op in _NESTING_OPS:  # may hold a repeat to fuse
+                return _lower_repeat(av, stripped, target)
+        return _repeat(_lower(body, stripped, target), m, n, target)
     if op is _sre.AT:
         stripped.append("anchor")
         return None
@@ -696,7 +701,11 @@ class _PositionForm:
         follow sets, and the copies are linked as the tokens' expansion is:
         like a concatenation, except that the last positions of every copy
         past the m-th end the whole, and the (m+1)-th copy of X{m,} loops.
-        X{0} drops X's positions."""
+        X{0} drops X's positions.  An X of one position that does not match
+        the empty string, such as `\d` in `\d{1,200}`, makes a chain, built
+        in closed form: each position is followed by the next, the last
+        loops in X{m,}, and the chain may end from its max(m, 1)-th
+        position on."""
         if piece is None:  # ε*
             return size, 0, 0, True
         _, first, last, nullable = piece
@@ -714,6 +723,12 @@ class _PositionForm:
             del labels[lo - 1:], follow[lo:]
             return None
         width = len(labels) - lo + 1
+        if width == 1 and not nullable:  # a chain
+            end = lo + copies - 1
+            labels += labels[-1:] * (copies - 1)
+            follow[lo:] = [2 << p for p in range(lo, end)]
+            follow.append(1 << end if n is None else 0)
+            return size, first, (1 << end + 1) - (1 << lo + max(m, 1) - 1), m == 0
         body = follow[lo:]
         labels += labels[lo - 1:] * (copies - 1)
         follow += [f << k * width for k in range(1, copies) for f in body]

@@ -357,9 +357,35 @@ def test_walk_matches_the_postfix_fold_on_random_patterns():
                                   "((a|b){0,100}){0,100}", "a{4294967294}",
                                   "(?:){0,4294967294}", r"(a)\1", "(?>a)", "a++", "(",
                                   "(?<=a|bc)x", "(?=(?<=a|bc))x",
-                                  pytest.param("(" * 1000 + "a" + ")" * 1000, id="deep")])
+                                  pytest.param("(" * 1000 + "a" + ")" * 1000, id="deep"),
+                                  r"\d{1,200}", "(a){2,5}", "(a){3,}", "(?:[ab]){0,4}",
+                                  "(a?){3}"])
 def test_walk_refuses_as_the_tokens_do(text):
     assert_walk_is_the_fold([text])
+
+
+def reference_readers(labels):
+    """`Positions.readers` read position by position."""
+    readers = {}
+    for p, label in enumerate(labels, 1):
+        _, mask = readers.get(id(label), (label, 0))
+        readers[id(label)] = label, mask | 1 << p
+    return readers
+
+
+def test_readers_match_a_per_position_reading():
+    # Equal sets that are distinct objects are told apart, as labels are.
+    a, b, c, a2 = charset_of("a"), charset_of("b"), charset_of("c"), charset_of("xa")[:1]
+    assert a2 == a and a2 is not a
+    shapes = [(), (a,), (a, a, a), (a, b), (a, a, b, a, c, c, c), (a, b, a, b, a),
+              (b, a, a2, a2, a), (c,) * 5 + (a,) + (c,) * 3]
+    shapes += [am.compile_pattern(t).positions.labels
+               for t in (r"\d{1,200}", r"t\(\d+\)\s?=\s?\d{1,3}", "(a|b)*a(a|b){4}", "(ab){3}")]
+    for labels in shapes:
+        got = am.Positions(labels, (0,) * (len(labels) + 1), 0).readers
+        expected = reference_readers(labels)
+        assert list(got) == list(expected), labels
+        assert all(got[k][0] is expected[k][0] and got[k][1] == expected[k][1] for k in got)
 
 
 def test_chain_of_optionals_is_decided_in_bounded_time():

@@ -4,6 +4,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 import extract_fixture as efx
 import ruleset_fixture as rfx
 from bench_rules import bench_rule_set
-from rexincl import cli, frontend, oracle
+from rexincl import cli, extractor, frontend, oracle
 from rexincl.reducer import save_rules
 
 
@@ -474,6 +475,51 @@ class TestExtract:
                            "--corpus", str(corpus_dir), "--out", str(tmp_path / "r.json"))
         assert code == 2
         assert "error:" in err and "bad.txt" in err
+
+    def test_backtracking_rule_ends_within_its_budget(self, capsys, monkeypatch, tmp_path):
+        # The host backtracks on (a+)+b exponentially in the run of a's after
+        # the b: at 40 it would search this one sentence for hours.
+        rules_path, corpus_path = tmp_path / "rules.jsonl", tmp_path / "corpus.jsonl"
+        rules_path.write_text(json.dumps({"id": 1, "pattern": "(a+)+b", "polarity": "positive",
+                                          "statistic_type": "t"}) + "\n")
+        corpus_path.write_text(json.dumps({"doc_id": "d", "text": "Value 1 b " + "a" * 40 + "."})
+                               + "\n")
+        monkeypatch.setattr(extractor, "MAX_SECONDS", 0.2)
+        handler = signal.getsignal(signal.SIGALRM)
+        began = time.perf_counter()
+        code, out, err = run(capsys, "extract", "--rules", str(rules_path), "--corpus",
+                             str(corpus_path), "--out", str(tmp_path / "r.json"))
+        assert time.perf_counter() - began < 5
+        assert code == 2
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        assert "rule 1 " in err and "d:0" in err and "budget" in err
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is handler
+
+    def test_run_corpus_without_a_budget_arms_nothing(self, monkeypatch):
+        # The library default, which `bench` times, installs no handler and
+        # arms no timer; neither does a budget off the main thread.
+        def refused(*args):
+            raise AssertionError("signal handler or timer touched")
+
+        handler = signal.getsignal(signal.SIGALRM)
+        expected = extractor.run_corpus(efx.build_corpus(), efx.RULES)[1]
+        monkeypatch.setattr(signal, "signal", refused)
+        monkeypatch.setattr(signal, "setitimer", refused)
+        assert extractor.run_corpus(efx.build_corpus(), efx.RULES)[1] == expected
+        got = []
+        thread = threading.Thread(target=lambda: got.append(
+            extractor.run_corpus(efx.build_corpus(), efx.RULES, budget=0.2)[1]))
+        thread.start()
+        thread.join()
+        assert got == [expected]
+        assert signal.getsignal(signal.SIGALRM) is handler
+
+    def test_budget_leaves_results_as_they_are(self):
+        expected = extractor.run_corpus(efx.build_corpus(), efx.RULES)
+        got = extractor.run_corpus(efx.build_corpus(), efx.RULES, budget=extractor.MAX_SECONDS)
+        assert got[0] == expected[0] and got[1] == expected[1]
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
     @pytest.mark.parametrize("missing", ["--rules", "--corpus"])
     def test_missing_input_file_exits_two(self, capsys, paths, missing):

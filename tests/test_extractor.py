@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -225,6 +228,48 @@ class TestRunCorpus:
         report, results = run_corpus(fx.build_corpus(), fx.RULES)
         assert (report.total_statistics + report.rejected + report.unmatched
                 == report.total_sentences == len(results))
+
+
+class TestRecords:
+    # One Sentence and one ExtractionResult are kept per sentence of a
+    # corpus, so they have slots; they behave as the frozen records they were.
+    RESULT = ExtractionResult(sentence=Sentence("d", 3, "t(12) = 2.31."), outcome=STATISTIC,
+                              matched_rule_id=7, statistic_type="t-test", apa=True,
+                              values={"df": "12", "statistic": "2.31"})
+
+    def test_no_instance_dict(self):
+        for record in (self.RESULT, self.RESULT.sentence):
+            assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("field", ["outcome", "sentence", "values"])
+    def test_result_is_frozen(self, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.RESULT, field, None)
+
+    def test_sentence_is_frozen_and_hashes_by_value(self):
+        a, b = Sentence("d", 0, "x 1."), Sentence("d", 0, "x 1.")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.text = "y"
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert len({a, b, Sentence("d", 1, "x 1.")}) == 2
+
+    def test_fields_and_defaults(self):
+        assert [f.name for f in dataclasses.fields(Sentence)] == ["doc_id", "index", "text"]
+        assert [f.name for f in dataclasses.fields(ExtractionResult)] == [
+            "sentence", "outcome", "matched_rule_id", "statistic_type", "apa", "values"]
+        a, b = ExtractionResult(sent("x 1."), UNMATCHED), ExtractionResult(sent("x 1."), UNMATCHED)
+        assert (a.matched_rule_id, a.statistic_type, a.apa, a.values) == (None, None, None, {})
+        assert a.values is not b.values
+
+    @pytest.mark.parametrize("copied", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy,
+                                        dataclasses.replace], ids=["pickle", "deepcopy", "replace"])
+    def test_result_round_trips(self, copied):
+        got = copied(self.RESULT)
+        assert got == self.RESULT and got.to_obj() == self.RESULT.to_obj()
+        assert got.to_obj() == {"doc_id": "d", "sentence_index": 3, "sentence": "t(12) = 2.31.",
+                                "outcome": STATISTIC, "matched_rule_id": 7,
+                                "statistic_type": "t-test", "apa": True,
+                                "values": {"df": "12", "statistic": "2.31"}}
 
 
 class TestSample:
