@@ -203,21 +203,21 @@ def run_corpus(corpus, rules, budget=None):
     """
     compiled = CompiledRuleSet(rules)
     results = []
-    if budget is None or threading.current_thread() is not threading.main_thread():
-        for doc in corpus:
-            for sentence in split_sentences(doc):
-                results.append(classify(sentence, compiled))
-        return aggregate(results), results
-    previous = signal.signal(signal.SIGALRM, lambda signum, frame: _expired(frame, budget))
+    timed = budget is not None and threading.current_thread() is threading.main_thread()
+    if timed:
+        previous = signal.signal(signal.SIGALRM, lambda signum, frame: _expired(frame, budget))
     try:
         for doc in corpus:
             for sentence in split_sentences(doc):
-                signal.setitimer(signal.ITIMER_REAL, budget)
+                if timed:
+                    signal.setitimer(signal.ITIMER_REAL, budget)
                 results.append(classify(sentence, compiled))
-                signal.setitimer(signal.ITIMER_REAL, 0)
+                if timed:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+        if timed:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
     return aggregate(results), results
 
 

@@ -784,25 +784,27 @@ def parse_positions(raw: RawPattern | str) -> tuple:
     return tuple(target.labels), tuple(target.follow), last | int(nullable), stripped
 
 
-def lookaround_classes(text: str) -> list[tuple]:
-    """The character sets named inside the lookaround bodies of a pattern,
-    which `parse` leaves unread, found by an iterative walk of re's parse
-    tree.  They only choose which characters `oracle.probe_alphabet` tries."""
+def symbol_classes(text: str) -> list[tuple]:
+    """The character sets of every symbol in re's parse tree of a pattern,
+    found by an iterative walk: those in lookaround bodies, which `parse`
+    leaves unread, and in constructs it refuses, such as backreferenced or
+    atomic groups, included.  They only choose which characters
+    `oracle.probe_alphabet` tries.  A pattern re rejects, at parse or at
+    compile (the only judge of look-behind widths), raises
+    PatternSyntaxError."""
+    _host(re.compile, text)
     classes = []
-    todo = [(_host(_sre.parse, text), False)]  # (items, whether inside a lookaround)
+    todo = [_host(_sre.parse, text)]
     while todo:
-        items, inside = todo.pop()
-        for op, av in items:
+        for op, av in todo.pop().data:
             if op in _SYMBOL_OPS:
-                if inside:
-                    classes.append(_symbol_class(op, av))
+                classes.append(_symbol_class(op, av))
                 continue
-            nested = inside or op in (_sre.ASSERT, _sre.ASSERT_NOT)
             # A subtree is av itself, an entry of av, or a branch in a list there.
             for part in av if isinstance(av, (tuple, list)) else (av,):
                 for sub in part if isinstance(part, list) else (part,):
                     if isinstance(sub, _sre.SubPattern):
-                        todo.append((sub, nested))
+                        todo.append(sub)
     return classes
 
 

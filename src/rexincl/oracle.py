@@ -28,14 +28,10 @@ _FIXED_PROBES = "\n "
 def probe_alphabet(*patterns: str) -> str:
     """The characters to enumerate a pair over, in code-point order: the
     lowest character of each block of the patterns' partition, each one's
-    case partners, '\\n' and a space.  The classes inside lookaround bodies
-    count too.  The frontend reads the patterns only to find the blocks."""
-    classes = []
-    for pattern in patterns:
-        expr = frontend.parse(pattern)
-        classes += [tok.chars for tok in expr.tokens if tok.kind is frontend.TokenKind.SYMBOL]
-        if "lookaround" in expr.stripped_features:
-            classes += frontend.lookaround_classes(pattern)
+    case partners, '\\n' and a space.  The classes are read off re's parse
+    tree, so every pattern that re accepts has an alphabet, one that the
+    frontend refuses to lower included."""
+    classes = [chars for pattern in patterns for chars in frontend.symbol_classes(pattern)]
     chars = set(_FIXED_PROBES)
     for block in frontend.partition_classes(classes):
         c = frontend.charset_min(block)

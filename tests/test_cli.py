@@ -30,6 +30,22 @@ def _src_env():
             "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
+@pytest.fixture
+def watchdog():
+    """Fails the test after 30 s of the process's CPU time.  A budget test
+    whose timer is never armed backtracks for hours; `re` holds the GIL
+    while it searches, so a thread's timer would never get to run, but a
+    SIGPROF handler does."""
+    def expired(signum, frame):
+        pytest.fail("ran 30 s of CPU time: the budget's timer was never armed")
+
+    previous = signal.signal(signal.SIGPROF, expired)
+    signal.setitimer(signal.ITIMER_PROF, 30)
+    yield
+    signal.setitimer(signal.ITIMER_PROF, 0)
+    signal.signal(signal.SIGPROF, previous)
+
+
 class TestCheck:
     def test_included_exits_zero(self, capsys):
         code, out, _ = run(capsys, "check", "ab", "[a-b](a|b)*")
@@ -476,7 +492,8 @@ class TestExtract:
         assert code == 2
         assert "error:" in err and "bad.txt" in err
 
-    def test_backtracking_rule_ends_within_its_budget(self, capsys, monkeypatch, tmp_path):
+    def test_backtracking_rule_ends_within_its_budget(self, capsys, monkeypatch, tmp_path,
+                                                      watchdog):
         # The host backtracks on (a+)+b exponentially in the run of a's after
         # the b: at 40 it would search this one sentence for hours.
         rules_path, corpus_path = tmp_path / "rules.jsonl", tmp_path / "corpus.jsonl"
@@ -611,7 +628,7 @@ class TestOracleVerify:
         assert code == 2
         assert out == "" and "max_len -1" in err
 
-    def test_backtracking_enumeration_ends_within_its_budget(self, capsys, monkeypatch):
+    def test_backtracking_enumeration_ends_within_its_budget(self, capsys, monkeypatch, watchdog):
         # The host backtracks exponentially on this nested bounded repeat:
         # without a time bound, its 781 strings of up to 4 characters take
         # many seconds.
@@ -632,3 +649,7 @@ def test_console_script_installed():
     import shutil
 
     assert shutil.which("rexincl") is not None
+    proc = subprocess.run(["rexincl", "check", "ab", "a"], capture_output=True,
+                          encoding="utf-8", timeout=60)
+    assert proc.returncode == 1
+    assert "Σ-gate: fail" in proc.stdout

@@ -97,20 +97,22 @@ class TestParse:
         assert str(expr) == "a&b" and expr.approximate
         assert parse("(?=^a)b").stripped_features == ("lookaround",)
 
-    def test_lookaround_classes(self):
-        # Only classes inside a lookaround body, however deep: under a
-        # look-behind, an atomic group, a star and a conditional.  z, x and k
-        # lie outside every body.
-        found = frontend.lookaround_classes(
+    def test_symbol_classes(self):
+        # Every class, however deep: outside any body, and under a lookaround,
+        # a look-behind, an atomic group, a star and a conditional.  A
+        # backreference and a repeat of any count name their classes too.
+        found = frontend.symbol_classes(
             r"(z)x(?!(?<=c)[d-f]|(?>g)|(?:h)*(?(1)i|j))k(?=(?=\d)l)")
-        assert sorted(found) == sorted([*map(charset_of, "cghijl"), charset_of("def"),
+        assert sorted(found) == sorted([*map(charset_of, "zxcghijkl"), charset_of("def"),
                                         parse(r"\d").tokens[0].chars])
-        assert frontend.lookaround_classes("a(b)*") == []
+        assert sorted(frontend.symbol_classes(r"(a)\1b{0}")) == [charset_of("a"), charset_of("b")]
 
     @pytest.mark.parametrize("pattern", ["(?=(?<=a|bc))x", "(?<=a|bc)x"])
     def test_look_behind_width_is_judged_by_re(self, pattern):
         with pytest.raises(PatternSyntaxError, match="look-behind requires fixed-width pattern"):
             parse(pattern)
+        with pytest.raises(PatternSyntaxError, match="look-behind requires fixed-width pattern"):
+            frontend.symbol_classes(pattern)
 
     def test_inline_flag_stripped(self):
         expr = parse(r"(?i)abc")

@@ -91,6 +91,22 @@ def test_probe_alphabet(patterns, alphabet):
     assert probe_alphabet(*patterns) == alphabet
 
 
+@pytest.mark.parametrize("sub, sup, included", [
+    (r"(a)\1", "aa", True),
+    (r"(a)\1", "a", False),
+    ("a{5000}", "a", True),
+    ("a", "a{5000}", False),
+    ("(a)?(?(1)b|c)", "ab|c", True),
+    ("(a)?(?(1)b|c)", "c", False),
+])
+def test_patterns_the_frontend_refuses_get_the_hosts_answer(sub, sup, included):
+    """A backreference, a repeat past the frontend's bound and a conditional
+    are judged as any other pattern: re's parse tree gives the alphabet."""
+    alphabet = probe_alphabet(sub, sup)
+    assert "a" in alphabet
+    assert verify_inclusion(sub, sup, alphabet, 4) is included
+
+
 def test_random_pattern_texts_are_stable():
     """The seeded fixture's pattern texts, pinned: criterion 4 and the
     differential fuzz run the same pairs from run to run."""
