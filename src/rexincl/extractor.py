@@ -24,7 +24,8 @@ from .reducer import Rule, read_jsonl
 
 log = logging.getLogger(__name__)
 
-SENTENCE_SPLIT = re.compile(r"\.\s?[A-Z]")
+SENTENCE_BREAK = re.compile(r"(?<=\.)\s?(?=[A-Z])")
+LINE_BREAK = re.compile(r"\s*\n\s*")
 HAS_DIGIT = re.compile(r"\d")
 
 STATISTIC = "statistic"
@@ -107,21 +108,13 @@ class CorpusReport:
 
 
 def split_sentences(doc: Document) -> list[Sentence]:
-    """Split at period + optional single whitespace + capital letter, then
-    drop every sentence without a digit.  Line breaks are flattened first."""
-    text = re.sub(r"\s*\n\s*", " ", doc.text).strip()
-    pieces = []
-    start = 0
-    for m in SENTENCE_SPLIT.finditer(text):
-        pieces.append(text[start:m.start() + 1])  # period ends the sentence
-        start = m.end() - 1  # the capital letter starts the next one
-    pieces.append(text[start:])
-    sentences = []
-    for piece in pieces:
-        piece = piece.strip()
-        if piece and HAS_DIGIT.search(piece):
-            sentences.append(Sentence(doc_id=doc.doc_id, index=len(sentences), text=piece))
-    return sentences
+    """Flatten each line break and the whitespace around it to one space,
+    split after every period that at most one whitespace character and a
+    capital letter follow (`SENTENCE_BREAK`), strip each piece, and keep,
+    numbered from 0, the pieces that hold a digit."""
+    text = LINE_BREAK.sub(" ", doc.text)
+    kept = filter(HAS_DIGIT.search, map(str.strip, SENTENCE_BREAK.split(text)))
+    return [Sentence(doc.doc_id, index, piece) for index, piece in enumerate(kept)]
 
 
 class CompiledRuleSet:

@@ -697,7 +697,7 @@ class _PositionForm:
         return size, first, last, nullable
 
     def repeat(self, piece, m, n, size):
-        """The body X, lowered once, is copied by shifting its labels and
+        r"""The body X, lowered once, is copied by shifting its labels and
         follow sets, and the copies are linked as the tokens' expansion is:
         like a concatenation, except that the last positions of every copy
         past the m-th end the whole, and the (m+1)-th copy of X{m,} loops.

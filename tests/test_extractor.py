@@ -3,8 +3,11 @@ import dataclasses
 import json
 import pickle
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import extract_fixture as fx
 from bench_rules import bench_rule_set, load_bench_gen
@@ -56,6 +59,43 @@ class TestSplitSentences:
     def test_indices_sequential(self):
         out = split_sentences(Document("d", "Run 1 done. Run 2 done. Run 3 done."))
         assert [s.index for s in out] == [0, 1, 2]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("We saw 5 cats.\r\nThen 3 dogs.", ["We saw 5 cats.", "Then 3 dogs."]),
+        ("We saw 5 cats.\tThen 3 dogs.", ["We saw 5 cats.", "Then 3 dogs."]),
+        ("We saw 5 cats.  Then 3 dogs.", ["We saw 5 cats.  Then 3 dogs."]),
+        ("We saw 5 cats. then 3 dogs.", ["We saw 5 cats. then 3 dogs."]),
+        ("We saw 5 cats. Élan, 3 dogs.", ["We saw 5 cats. Élan, 3 dogs."]),
+        (" \t\r\n \n", []),
+        ("\n\t We saw 5 cats.  \r\n", ["We saw 5 cats."]),
+        (". We saw 5 cats.", ["We saw 5 cats."]),
+        ("approx. 12 items.", ["approx. 12 items."]),
+    ])
+    def test_split_rule(self, text, expected):
+        assert [s.text for s in split_sentences(Document("d", text))] == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="aBÉZ1. \t\r\n\x85\xa0\u3000", max_size=16))
+    def test_matches_the_reference_loop(self, text):
+        assert split_sentences(Document("d", text)) == _reference_split("d", text)
+
+
+def _reference_split(doc_id, text):
+    r"""The splitter as a `finditer` loop over `\.\s?[A-Z]`, cutting after the
+    period and before the capital: the reference for `split_sentences`."""
+    text = re.sub(r"\s*\n\s*", " ", text).strip()
+    pieces = []
+    start = 0
+    for m in re.finditer(r"\.\s?[A-Z]", text):
+        pieces.append(text[start:m.start() + 1])  # period ends the sentence
+        start = m.end() - 1  # the capital letter starts the next one
+    pieces.append(text[start:])
+    sentences = []
+    for piece in pieces:
+        piece = piece.strip()
+        if piece and re.search(r"\d", piece):
+            sentences.append(Sentence(doc_id=doc_id, index=len(sentences), text=piece))
+    return sentences
 
 
 class TestClassify:
