@@ -13,7 +13,6 @@ import json
 import logging
 import signal
 import sys
-import threading
 
 from . import automata, extractor, frontend, oracle, reducer
 from .errors import BoundExceeded, RexinclError
@@ -189,17 +188,26 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    rules = reducer.load_rules(args.rules)
-    corpus = extractor.load_corpus(args.corpus)
-    report, results = extractor.run_corpus(corpus, rules, budget=extractor.MAX_SECONDS)
+    """Stream the corpus: one document and one result at a time, each
+    result written to --results as it is made and tallied, none kept.
+    --sample classifies the corpus a second time, keeping only the picks."""
+    rules = extractor.CompiledRuleSet(reducer.load_rules(args.rules))
+
+    def classified():
+        return extractor.classify_corpus(extractor.read_corpus(args.corpus), rules,
+                                         budget=extractor.MAX_SECONDS)
+
+    if args.results:
+        with open(args.results, "w", encoding="utf-8") as fh:
+            report = extractor.aggregate(extractor.written(classified(), fh))
+    else:
+        report = extractor.aggregate(classified())
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report.to_obj(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if args.results:
-        extractor.write_results(results, args.results)
     if args.sample:
-        picked = extractor.sample(results, args.sample, args.seed)
-        for res in picked:
+        picks = extractor.sample_positions(report, args.sample, args.seed)
+        for res in extractor.take(classified(), picks):
             print(json.dumps(res.to_obj(), sort_keys=True))
     else:
         print(json.dumps(report.to_obj(), sort_keys=True))
@@ -230,16 +238,10 @@ def cmd_oracle_verify(args) -> int:
     expiry raises BoundExceeded.  Signals reach only the main thread, so a
     call from another thread runs unbounded."""
     alphabet = oracle.probe_alphabet(args.left, args.right)
-    timed = threading.current_thread() is threading.main_thread()
-    if timed:
-        previous = signal.signal(signal.SIGALRM, _oracle_expired)
-        signal.setitimer(signal.ITIMER_REAL, oracle.MAX_SECONDS)
-    try:
-        ok = oracle.verify_inclusion(args.left, args.right, alphabet, args.max_len)
-    finally:
+    with extractor.time_budget(oracle.MAX_SECONDS, _oracle_expired) as timed:
         if timed:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+            signal.setitimer(signal.ITIMER_REAL, oracle.MAX_SECONDS)
+        ok = oracle.verify_inclusion(args.left, args.right, alphabet, args.max_len)
     print(json.dumps({
         "left": args.left,
         "right": args.right,

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
+import random
 import re
 import signal
 import statistics
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,8 +39,12 @@ ANOVA_NO_R = "anova-no-r"
 MAX_SECONDS = 1  # the longest `rexincl extract` may classify one sentence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
+    """One document of a corpus: a .txt file or a JSON Lines object.  Its
+    text must be a str.  `load_corpus` keeps one per document, so it has
+    slots and no instance dict, like `Sentence` and `ExtractionResult`."""
+
     doc_id: str
     text: str
 
@@ -62,8 +68,10 @@ class Sentence:
 @dataclass(frozen=True, slots=True)
 class ExtractionResult:
     """How `classify` judged one sentence, with the values its sub-rules
-    captured.  One is kept per sentence of a corpus, so it has slots and no
-    instance dict: about 81 bytes in place of 129, its `values` aside."""
+    captured.  `run_corpus` keeps one per sentence of a corpus, so it has
+    slots and no instance dict: about 81 bytes in place of 129, its `values`
+    aside.  In one `run_corpus` list, equal captured values are one string.
+    `rexincl extract` streams results and keeps none."""
 
     sentence: Sentence
     outcome: str  # STATISTIC | REJECTED | UNMATCHED
@@ -180,43 +188,73 @@ def classify(sentence: Sentence, rules: CompiledRuleSet) -> ExtractionResult:
     return ExtractionResult(sentence=sentence, outcome=UNMATCHED)
 
 
-def run_corpus(corpus, rules, budget=None):
-    """Compile the rule list once and classify every digit-bearing sentence
-    of every document.
+@contextmanager
+def time_budget(seconds, expired):
+    """Install `expired` as the SIGALRM handler for the body and yield
+    whether the budget applies, so the body arms `ITIMER_REAL` itself:
+    once, or again for each step.  Signals reach only the main thread, so
+    off it, or with `seconds` None, nothing is installed and it yields
+    False.  On exit the timer is disarmed and the caller's handler
+    restored, also when the body raises or a generator holding the context
+    is closed early."""
+    if seconds is None or threading.current_thread() is not threading.main_thread():
+        yield False
+        return
+    previous = signal.signal(signal.SIGALRM, expired)
+    try:
+        yield True
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def classify_corpus(corpus, rules: CompiledRuleSet, budget=None):
+    """Yield, in document order, `classify` of every digit-bearing sentence
+    of every document; `corpus` may be any iterable of documents, read as
+    the sentences are needed.
 
     The host engine backtracks, so a rule such as `(a+)+b` may search one
     sentence for hours.  With a `budget` in seconds, each sentence is
     classified under a real-time timer whose expiry raises BoundExceeded,
-    naming the rule and the sentence; the caller's SIGALRM handler is
-    restored on return.  Signals reach only the main thread, so off it the
-    budget is not applied.  Without a budget no handler is installed and
-    no timer armed, and the loop runs unbounded.
-
-    Returns (CorpusReport, list of ExtractionResult in document order).
-    """
-    compiled = CompiledRuleSet(rules)
-    results = []
-    timed = budget is not None and threading.current_thread() is threading.main_thread()
-    if timed:
-        previous = signal.signal(signal.SIGALRM, lambda signum, frame: _expired(frame, budget))
-    try:
+    naming the rule and the sentence.  The handler is installed for the
+    generator's whole life (`time_budget`), and the timer is disarmed
+    whenever a result is yielded.  Without a budget no handler is installed
+    and no timer armed, and the loop runs unbounded."""
+    with time_budget(budget, lambda signum, frame: _expired(frame, budget)) as timed:
         for doc in corpus:
             for sentence in split_sentences(doc):
                 if timed:
                     signal.setitimer(signal.ITIMER_REAL, budget)
-                results.append(classify(sentence, compiled))
+                result = classify(sentence, rules)
                 if timed:
                     signal.setitimer(signal.ITIMER_REAL, 0)
-    finally:
-        if timed:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+                yield result
+
+
+def run_corpus(corpus, rules, budget=None):
+    """Compile the rule list once and classify every digit-bearing sentence
+    of every document with `classify_corpus`, under its `budget`.
+
+    Every result is kept, so equal captured values are stored once: a dict
+    local to the call maps each value to the first string equal to it, and
+    the results' `values` hold that string.  `rexincl extract` streams
+    `classify_corpus` instead and keeps no result.
+
+    Returns (CorpusReport, list of ExtractionResult in document order).
+    """
+    shared = {}
+    results = []
+    for result in classify_corpus(corpus, CompiledRuleSet(rules), budget):
+        values = result.values
+        for name in values:
+            values[name] = shared.setdefault(values[name], values[name])
+        results.append(result)
     return aggregate(results), results
 
 
 def _expired(frame, budget):
-    """The SIGALRM handler of `run_corpus`'s budget.  `frame` is where the
-    signal landed: `classify`'s frame, or one it called.  The rule being
+    """The SIGALRM handler of `classify_corpus`'s budget.  `frame` is where
+    the signal landed: `classify`'s frame, or one it called.  The rule being
     searched is read off `classify`'s locals, so the loop keeps no record
     of it.  A timer that fires after `classify` returned is ignored."""
     while frame is not None and frame.f_code is not classify.__code__:
@@ -230,6 +268,8 @@ def _expired(frame, budget):
 
 
 def aggregate(results) -> CorpusReport:
+    """Tally results one at a time; `results` may be any iterable, such as
+    `classify_corpus`'s stream, and none is kept."""
     report = CorpusReport()
     apa_total = 0
     anova_no_r_apa = 0
@@ -257,24 +297,39 @@ def aggregate(results) -> CorpusReport:
 
 def sample(results, n: int, seed: int) -> list[ExtractionResult]:
     """Per statistic type, a uniform sample of min(n, available) results
-    without replacement; deterministic for a fixed seed."""
-    import random
+    without replacement; deterministic for a fixed seed.  `results` is read
+    twice, so it must be a collection, not an iterator."""
+    return take(results, sample_positions(aggregate(results), n, seed))
 
+
+def sample_positions(report: CorpusReport, n: int, seed: int) -> dict:
+    """For each statistic type of `report`, in sorted order, the positions
+    that `sample` picks among the results of that type, counted in document
+    order: all of them when there are at most n, else
+    `rng.sample(range(count), n)`, which picks what `rng.sample` would pick
+    from a list of those results."""
     if n <= 0:
         raise ValueError("sample size must be positive")
-    by_type = {}
+    rng = random.Random(seed)
+    picks = {}
+    for stype, cell in sorted(report.by_type.items()):
+        count = cell["apa"] + cell["non_apa"]
+        picks[stype] = range(count) if count <= n else rng.sample(range(count), n)
+    return picks
+
+
+def take(results, picks: dict) -> list[ExtractionResult]:
+    """The statistics at `picks`'s positions, type by type in its order, in
+    one pass over `results`; only the picked results are kept."""
+    kept = {stype: dict.fromkeys(positions) for stype, positions in picks.items()}
+    seen = dict.fromkeys(kept, 0)
     for res in results:
         if res.outcome == STATISTIC:
-            by_type.setdefault(res.statistic_type, []).append(res)
-    rng = random.Random(seed)
-    out = []
-    for stype in sorted(by_type):
-        pool = by_type[stype]
-        if len(pool) <= n:
-            out.extend(pool)
-        else:
-            out.extend(rng.sample(pool, n))
-    return out
+            position = seen[res.statistic_type]
+            seen[res.statistic_type] = position + 1
+            if position in kept[res.statistic_type]:
+                kept[res.statistic_type][position] = res
+    return [res for picked in kept.values() for res in picked.values()]
 
 
 @dataclass
@@ -352,21 +407,35 @@ def bench(corpus, full_rules, reduced_rules, repeats: int = 5) -> BenchReport:
 def load_corpus(path) -> list[Document]:
     """Plain-text directory (one document per .txt file) or JSONL with
     {"doc_id", "text"} objects."""
+    return list(read_corpus(path))
+
+
+def read_corpus(path):
+    """`load_corpus`'s documents one at a time, each read when it is
+    needed.  Files are decoded as UTF-8; a leading byte-order mark is
+    dropped."""
     path = Path(path)
     if path.is_dir():
-        return [Document(doc_id=f.stem, text=_read_text(f)) for f in sorted(path.glob("*.txt"))]
-    return list(read_jsonl(
-        path, lambda obj: Document(doc_id=str(obj["doc_id"]), text=obj["text"])))
+        return (Document(doc_id=f.stem, text=_read_text(f)) for f in sorted(path.glob("*.txt")))
+    return read_jsonl(path, lambda obj: Document(doc_id=str(obj["doc_id"]), text=obj["text"]))
 
 
 def _read_text(path):
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_results(results, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for res in results:
-            fh.write(json.dumps(res.to_obj(), sort_keys=True) + "\n")
+        for _ in written(results, fh):
+            pass
+
+
+def written(results, fh):
+    """Each result, after writing it to `fh` as one JSON line, so that
+    `rexincl extract` writes --results while `aggregate` tallies."""
+    for res in results:
+        fh.write(json.dumps(res.to_obj(), sort_keys=True) + "\n")
+        yield res

@@ -75,13 +75,14 @@ class InclusionReport:
 
 def read_jsonl(path, build):
     """`build(obj)` for every non-blank line of a UTF-8 JSON Lines file, in
-    order.  Invalid UTF-8 or JSON, a line that is not a JSON object, and a
-    KeyError (a missing field), TypeError or ValueError from `build`, raise
-    FormatError with the line number."""
+    order, read one line at a time; a leading byte-order mark, which Windows
+    editors write, is dropped.  Invalid UTF-8 or JSON, a line that is not a
+    JSON object, and a KeyError (a missing field), TypeError or ValueError
+    from `build`, raise FormatError with the line number."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                line = line.decode("utf-8").strip()
+                line = line.decode("utf-8-sig").strip()
                 if not line:
                     continue
                 obj = json.loads(line)

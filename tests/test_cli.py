@@ -1,20 +1,22 @@
 import json
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import extract_fixture as efx
 import ruleset_fixture as rfx
-from bench_rules import bench_rule_set
+from bench_rules import bench_rule_set, load_bench_gen
 from rexincl import cli, extractor, frontend, oracle
-from rexincl.reducer import save_rules
+from rexincl.reducer import load_rules, save_rules
 
 
 def run(capsys, *argv):
@@ -537,6 +539,69 @@ class TestExtract:
         got = extractor.run_corpus(efx.build_corpus(), efx.RULES, budget=extractor.MAX_SECONDS)
         assert got[0] == expected[0] and got[1] == expected[1]
         assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    def test_closing_the_stream_early_restores_the_handler(self):
+        handler = signal.getsignal(signal.SIGALRM)
+        stream = extractor.classify_corpus(efx.build_corpus(), extractor.CompiledRuleSet(efx.RULES),
+                                           budget=extractor.MAX_SECONDS)
+        assert next(stream).sentence.text == efx.LABELED[0][0]
+        assert signal.getsignal(signal.SIGALRM) is not handler
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        stream.close()
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is handler
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_streamed_outputs_equal_the_kept_ones(self, capsys, tmp_path, seed):
+        # `extract` keeps no result; `run_corpus`, `write_results` and
+        # `sample` keep them all.  They give the same bytes.
+        gen = load_bench_gen()
+        specs = gen.rule_set(random.Random(f"{seed}-rules"), 60)
+        docs, _ = gen.corpus(random.Random(f"{seed}-corpus"), specs, 2000)
+        rules_path, corpus_path = tmp_path / "rules.jsonl", tmp_path / "corpus.jsonl"
+        gen.write_jsonl(rules_path, (s.to_obj() for s in specs))
+        gen.write_jsonl(corpus_path, docs)
+        code, out, err = run(capsys, "extract", "--rules", str(rules_path), "--corpus",
+                             str(corpus_path), "--out", str(tmp_path / "report.json"),
+                             "--results", str(tmp_path / "results.jsonl"),
+                             "--sample", "100", "--seed", str(seed))
+        assert (code, err) == (0, "")
+        report, results = extractor.run_corpus(extractor.load_corpus(corpus_path),
+                                               load_rules(rules_path))
+        extractor.write_results(results, tmp_path / "kept.jsonl")
+        assert (tmp_path / "results.jsonl").read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
+        assert (tmp_path / "report.json").read_text() == json.dumps(
+            report.to_obj(), indent=2, sort_keys=True) + "\n"
+        assert out == "".join(json.dumps(res.to_obj(), sort_keys=True) + "\n"
+                              for res in extractor.sample(results, 100, seed))
+
+    def test_memory_is_bounded_by_the_rule_set(self, capsys, tmp_path):
+        # Each result is tallied and dropped, and the sample's second pass
+        # keeps only its picks, so the peak traced memory at 40,000
+        # sentences is that at 4,000.  CI's memory-bound step runs
+        # --results too, on the real process.
+        rules_path = tmp_path / "rules.jsonl"
+        save_rules(efx.RULES, rules_path)
+
+        def peak(sentences):
+            corpus_path = tmp_path / f"corpus{sentences}.jsonl"
+            with open(corpus_path, "w", encoding="utf-8") as fh:
+                for d in range(sentences // 10):
+                    text = " ".join(f"Run {s} gave t({d}) = {s}.{d}, p < .05." for s in range(10))
+                    fh.write(json.dumps({"doc_id": f"paper{d}", "text": text}) + "\n")
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "extract", "--rules", str(rules_path), "--corpus",
+                                 str(corpus_path), "--out", str(tmp_path / "report.json"),
+                                 "--sample", "3")
+                assert code == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(40)  # the first run also fills re's cache of compiled patterns
+        small, large = peak(4000), peak(40000)
+        assert abs(large - small) < 64 * 1024, (small, large)
 
     @pytest.mark.parametrize("missing", ["--rules", "--corpus"])
     def test_missing_input_file_exits_two(self, capsys, paths, missing):

@@ -44,6 +44,11 @@ NESTED = r"(((\d|\s)?(\s{0,2}Z{2}){0,2}){0,2}|((()?a*){1,3}|\d+){1,3}){2}"
 SINCE_311 = (0, EMPTY) if sys.version_info >= (3, 11) else (2, ONE_LINE)
 
 
+# 20,000 sentences in 2,000 documents, each sentence a statistic with its own values.
+LARGE_CORPUS = _jsonl(*({"doc_id": f"paper{d}", "text": " ".join(
+    f"Run {s} gave t({d}) = {s}.{d}, p < .05." for s in range(10))} for d in range(2000)))
+
+
 def _oracle(left, right, *max_len):
     return ("oracle-verify", "--left", left, "--right", right, *max_len)
 
@@ -134,6 +139,13 @@ ROWS = [
     Row("extract time budget", EXTRACT, 2, ONE_LINE, err=("rule 1 ",), files={
         "rules.jsonl": _jsonl(_rule(1, "(a+)+b", "positive", statistic_type="t")),
         "corpus.jsonl": _jsonl({"doc_id": "d", "text": "Value 1 b " + "a" * 40 + "."})}),
+    # `extract` streams a larger corpus: each result is written and tallied, then dropped.
+    Row("larger corpus", EXTRACT + ("--results", "results.jsonl", "--sample", "2"), 0,
+        out=('"statistic_type": "t"',), report={"total_statistics": 20000, "total_sentences": 20000},
+        files={"rules.jsonl": _jsonl(_rule(0, r"t\(\d+\) = \d+\.\d+", "positive",
+                                           statistic_type="t",
+                                           subrules=[{"name": "df", "pattern": r"\((\d+)\)"}])),
+               "corpus.jsonl": LARGE_CORPUS}),
     # Counted-repeat chains, built in closed form, check both ways.
     Row("counted-repeat chains, included", ("check", r"\d{100,200}", r"\d{1,200}"), 0,
         timeout=10),

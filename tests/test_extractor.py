@@ -269,6 +269,30 @@ class TestRunCorpus:
         assert (report.total_statistics + report.rejected + report.unmatched
                 == report.total_sentences == len(results))
 
+    @staticmethod
+    def _bench_corpus():
+        gen = load_bench_gen()
+        specs = gen.rule_set(random.Random("1-rules"), 60)
+        docs, _ = gen.corpus(random.Random("1-corpus"), specs, 2000)
+        return [Document(d["doc_id"], d["text"]) for d in docs], bench_rule_set(1, 60)
+
+    @pytest.mark.parametrize("inputs", [
+        lambda: ([Document("a", "We saw t(12) = 2.31, p < .05 here. Then t(12) = 4.5, p < .01."),
+                  Document("b", "Again t(12) = 2.31, p < .05 held.")], fx.RULES),
+        _bench_corpus,
+    ], ids=["inline", "bench"])
+    def test_equal_values_are_one_object(self, inputs):
+        # The list keeps one string per distinct captured value; each result
+        # is still the one `classify` gives alone.
+        corpus, rules = inputs()
+        _, results = run_corpus(corpus, rules)
+        values = [v for res in results for v in res.values.values()]
+        assert len(values) > len(set(values)) > 1
+        assert len({id(v) for v in values}) == len(set(values))
+        fresh = CompiledRuleSet(rules)
+        for res in results:
+            assert res.to_obj() == classify(res.sentence, fresh).to_obj()
+
 
 class TestRecords:
     # One Sentence and one ExtractionResult are kept per sentence of a
@@ -336,6 +360,22 @@ class TestSample:
         with pytest.raises(ValueError):
             sample([], 0, seed=1)
 
+    @pytest.mark.parametrize("n", [1, 7, 100, 400])
+    def test_picks_what_sampling_each_pool_picks(self, n):
+        # `sample` draws positions, rng.sample(range(count), n); drawing from
+        # each type's list of results, rng.sample(pool, n), picks the same.
+        corpus, rules = TestRunCorpus._bench_corpus()
+        _, results = run_corpus(corpus, rules)
+        for seed in range(5):
+            pools = {}
+            for res in results:
+                if res.outcome == STATISTIC:
+                    pools.setdefault(res.statistic_type, []).append(res)
+            rng = random.Random(seed)
+            expected = [res for stype in sorted(pools) for res in (
+                pools[stype] if len(pools[stype]) <= n else rng.sample(pools[stype], n))]
+            assert sample(results, n, seed) == expected
+
 
 class TestBench:
     def test_identical_sets(self):
@@ -378,6 +418,19 @@ class TestCorpusIo:
             load_corpus(path)
         assert exc.value.line == 2
         assert "document text must be a str" in str(exc.value)
+
+    def test_byte_order_mark_dropped_from_jsonl(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'\xef\xbb\xbf{"doc_id": "x", "text": "Only 1 line."}\n')
+        assert load_corpus(path) == [Document(doc_id="x", text="Only 1 line.")]
+
+    def test_byte_order_mark_dropped_from_txt(self, tmp_path):
+        (tmp_path / "a.txt").write_bytes("\ufeffAnova 1 shows.".encode("utf-8"))
+        rules = [Rule(id=0, pattern=RawPattern(r"^Anova \d"), polarity="positive",
+                      statistic_type="anova")]
+        report, results = run_corpus(load_corpus(tmp_path), rules)
+        assert [res.sentence.text for res in results] == ["Anova 1 shows."]
+        assert report.total_statistics == 1
 
     def test_write_results_jsonl(self, tmp_path):
         _, results = run_corpus(fx.build_corpus(), fx.RULES)

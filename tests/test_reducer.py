@@ -182,6 +182,12 @@ class TestLoadSave:
         path.write_text('\n{"id": 0, "pattern": "a", "polarity": "negative"}\n\n')
         assert len(load_rules(path)) == 1
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # Windows Notepad and Excel start a UTF-8 file with a byte-order mark.
+        path = tmp_path / "rules.jsonl"
+        path.write_bytes(b'\xef\xbb\xbf{"id": 1, "pattern": "a", "polarity": "positive"}\n')
+        assert [(r.id, r.pattern.text) for r in load_rules(path)] == [(1, "a")]
+
 
 class TestComputeInclusions:
     def test_figure_pair(self):
